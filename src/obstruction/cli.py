@@ -11,7 +11,6 @@ Exit codes: 0 affirmative, 1 negative verdict, 2 usage error,
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -339,24 +338,10 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_thread_cap() -> None:
-    cap = os.environ.get("OBSTRUCTION_THREADS")
-    if cap is None:
-        return
-    try:
-        value = int(cap)
-    except ValueError:
-        raise UsageError(f"OBSTRUCTION_THREADS must be an integer, got {cap!r}")
-    if value < 1:
-        raise UsageError("OBSTRUCTION_THREADS must be at least 1")
-    # Evaluation is sequential, so any cap of one or more is respected.
-
-
 def main(argv=None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
     try:
-        _check_thread_cap()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

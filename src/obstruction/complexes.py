@@ -4,10 +4,16 @@ A vertex carries a process color and an observation; a facet holds exactly
 one vertex per color; a complex is determined by its set of facets. Equality
 is structural everywhere, so two facets share an agent's vertex exactly when
 that agent's color and observation coincide in both.
+
+The builders in this package share one object per distinct vertex across the
+facets of a complex (see `vertex_table`), so hashing and equality mostly hit
+cached hashes and identity. A complex keeps its facets in `Facet.key` order,
+computed by ranking its distinct vertices once and comparing facets by their
+tuples of integer ranks.
 """
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 # An observation is one of:
 #   int                         -- a plain value (input or decision)
@@ -65,12 +71,19 @@ def obs_from_json(data) -> Obs:
     raise ValueError(f"not an observation: {data!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     """A colored vertex: one process together with what it observed."""
 
     color: int
     obs: Obs
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.color, self.obs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def key(self) -> tuple:
         return (self.color, obs_key(self.obs))
@@ -79,24 +92,46 @@ class Vertex:
         return f"{self.color}:{obs_text(self.obs)}"
 
 
+def vertex_table() -> Callable[[int, Obs], Vertex]:
+    """A vertex constructor that hands back one object per (color, obs).
+
+    Builders make one table per call, so every vertex they put in a complex
+    is a single shared object and lookups hit on identity.
+    """
+    table: dict[tuple[int, Obs], Vertex] = {}
+
+    def vertex(color: int, obs: Obs) -> Vertex:
+        key = (color, obs)
+        v = table.get(key)
+        if v is None:
+            v = table[key] = Vertex(color, obs)
+        return v
+
+    return vertex
+
+
 class Facet:
     """A maximal simplex: one vertex per color, kept sorted by color."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_hash")
 
     def __init__(self, vertices: Iterable[Vertex]):
-        vs = sorted(set(vertices), key=lambda v: v.color)
+        vs = tuple(vertices)
         colors = [v.color for v in vs]
-        if len(set(colors)) != len(colors):
-            dup = sorted({c for c in colors if colors.count(c) > 1})
-            raise ValueError(f"duplicate colors in facet: {dup}")
+        if colors != sorted(set(colors)):
+            vs = tuple(sorted(set(vs), key=lambda v: v.color))
+            colors = [v.color for v in vs]
+            if len(set(colors)) != len(colors):
+                dup = sorted({c for c in colors if colors.count(c) > 1})
+                raise ValueError(f"duplicate colors in facet: {dup}")
         if not vs:
             raise ValueError("empty facet")
-        self.vertices: tuple[Vertex, ...] = tuple(vs)
+        self.vertices: tuple[Vertex, ...] = vs
+        self._hash = hash(vs)
 
     @property
     def colors(self) -> tuple[int, ...]:
-        return tuple(v.color for v in self.vertices)
+        return tuple([v.color for v in self.vertices])
 
     def vertex(self, color: int) -> Vertex:
         for v in self.vertices:
@@ -114,10 +149,14 @@ class Facet:
         return " ".join(v.text() for v in self.vertices)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Facet) and self.vertices == other.vertices
+        return (
+            isinstance(other, Facet)
+            and self._hash == other._hash
+            and self.vertices == other.vertices
+        )
 
     def __hash__(self) -> int:
-        return hash(self.vertices)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Facet({self.text()})"
@@ -129,8 +168,8 @@ class Facet:
 class ChromaticComplex:
     """A pure chromatic complex of dimension n, stored by its facets.
 
-    Facets are deduplicated and kept in a canonical order, so indices are
-    stable identifiers for export and reporting.
+    Facets are deduplicated and kept in canonical `Facet.key` order, so
+    indices are stable identifiers for export and reporting.
     """
 
     __slots__ = ("n", "facets", "_pos")
@@ -138,7 +177,12 @@ class ChromaticComplex:
     def __init__(self, n: int, facets: Iterable[Facet]):
         if n < 0:
             raise ValueError("dimension must be nonnegative")
-        canon = sorted(set(facets), key=Facet.key)
+        unique = set(facets)
+        # Vertex.key is injective, so comparing facets by the ranks of their
+        # vertices in Vertex.key order is the same as comparing Facet.key.
+        vertices = sorted({v for f in unique for v in f.vertices}, key=Vertex.key)
+        rank = {v: i for i, v in enumerate(vertices)}
+        canon = sorted(unique, key=lambda f: tuple(map(rank.__getitem__, f.vertices)))
         if not canon:
             raise ValueError("a complex needs at least one facet")
         expected = tuple(range(n + 1))
@@ -191,18 +235,25 @@ def cartesian_product(c: ChromaticComplex, d: ChromaticComplex) -> ChromaticComp
     """Componentwise product: each vertex pairs the two observations of a color."""
     if c.n != d.n:
         raise ValueError(f"dimension mismatch: {c.n} vs {d.n}")
+    vertex = vertex_table()
     facets = [
-        product_facet(x, y)
+        product_facet(x, y, vertex)
         for x in c.facets
         for y in d.facets
     ]
     return ChromaticComplex(c.n, facets)
 
 
-def product_facet(x: Facet, y: Facet) -> Facet:
-    return Facet(
-        Vertex(v.color, (v.obs, y.vertex(v.color).obs)) for v in x.vertices
-    )
+def product_facet(
+    x: Facet, y: Facet, vertex: Callable[[int, Obs], Vertex] = Vertex
+) -> Facet:
+    """Pair each vertex of x with y's vertex of the same color.
+
+    `vertex` makes the paired vertices; pass a `vertex_table()` to share them
+    across the facets of one product.
+    """
+    ys = y.vertices if x.colors == y.colors else [y.vertex(c) for c in x.colors]
+    return Facet(vertex(v.color, (v.obs, w.obs)) for v, w in zip(x.vertices, ys))
 
 
 def _pair_obs(obs: Obs) -> tuple:
@@ -245,11 +296,12 @@ def complex_from_json(data: dict) -> ChromaticComplex:
         raw_facets = data["facets"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed complex document: missing {exc}") from None
+    vertex = vertex_table()
     facets = []
     for entry in raw_facets:
         facets.append(
             Facet(
-                Vertex(v["color"], obs_from_json(v["obs"]))
+                vertex(v["color"], obs_from_json(v["obs"]))
                 for v in entry["vertices"]
             )
         )

@@ -42,13 +42,14 @@ class SimplicialModel:
             raise ValueError("one atom set per facet required")
         self.complex = complex
         self._atoms = atoms
-        # For each agent, group facets by the identity of their vertex of
-        # that color; the groups are exactly the indistinguishability classes.
+        # For each agent, group facets by their vertex of that color; the
+        # groups are exactly the indistinguishability classes. Facets of a
+        # complex hold colors 0..n in order, so agent a's vertex is at index a.
         self._classes: list[dict[Vertex, tuple[int, ...]]] = []
         for a in range(complex.n + 1):
             groups: dict[Vertex, list[int]] = {}
             for i, f in enumerate(complex.facets):
-                groups.setdefault(f.vertex(a), []).append(i)
+                groups.setdefault(f.vertices[a], []).append(i)
             self._classes.append({v: tuple(ids) for v, ids in groups.items()})
         self._eval_memo: dict[tuple[int, int], bool] = {}
         self._closure_memo: dict[tuple[tuple[int, ...], int], frozenset[int]] = {}
@@ -103,7 +104,7 @@ class SimplicialModel:
             result = not self._eval(phi.children[0], idx)
         elif kind == "know":
             facet = self.complex.facets[idx]
-            ids = self._classes[phi.agent][facet.vertex(phi.agent)]
+            ids = self._classes[phi.agent][facet.vertices[phi.agent]]
             child = phi.children[0]
             result = all(self._eval(child, j) for j in ids)
         elif kind == "dist":
@@ -122,9 +123,9 @@ class SimplicialModel:
             return tuple(range(len(self.complex.facets)))
         facet = self.complex.facets[idx]
         ordered = sorted(agents)
-        ids = set(self._classes[ordered[0]][facet.vertex(ordered[0])])
+        ids = set(self._classes[ordered[0]][facet.vertices[ordered[0]]])
         for a in ordered[1:]:
-            ids &= set(self._classes[a][facet.vertex(a)])
+            ids &= set(self._classes[a][facet.vertices[a]])
         return tuple(sorted(ids))
 
     def _closure_ids(self, idx: int, agents: frozenset[int]) -> frozenset[int]:
@@ -139,7 +140,7 @@ class SimplicialModel:
             for i in frontier:
                 facet = self.complex.facets[i]
                 for a in agents:
-                    for j in self._classes[a][facet.vertex(a)]:
+                    for j in self._classes[a][facet.vertices[a]]:
                         if j not in seen:
                             seen.add(j)
                             nxt.append(j)
@@ -161,6 +162,9 @@ class SimplicialModel:
         return Verdict()
 
     def counterexamples(self, phi: Formula, cap: int = 10) -> list[Facet]:
+        """Up to `cap` falsifying facets, in canonical order."""
+        if cap < 1:
+            raise ValueError(f"counterexample cap must be at least 1, got {cap}")
         self._validate_agents(phi)
         found = []
         for idx, facet in enumerate(self.complex.facets):
@@ -170,14 +174,21 @@ class SimplicialModel:
                     break
         return found
 
+    def _agent_set(self, agents) -> frozenset[int]:
+        group = frozenset(agents)
+        for a in group:
+            if not 0 <= a <= self.complex.n:
+                raise KeyError(f"no vertex of color {a}")
+        return group
+
     def common_reach(self, facet: Facet, agents) -> frozenset[Facet]:
         """Facets reachable by chains of indistinguishability steps in `agents`."""
-        ids = self._closure_ids(self.complex.index(facet), frozenset(agents))
+        ids = self._closure_ids(self.complex.index(facet), self._agent_set(agents))
         return frozenset(self.complex.facets[i] for i in ids)
 
     def distributed_related(self, facet: Facet, agents) -> frozenset[Facet]:
         """Facets sharing this facet's vertex for every agent in `agents`."""
-        ids = self._related_ids(self.complex.index(facet), frozenset(agents))
+        ids = self._related_ids(self.complex.index(facet), self._agent_set(agents))
         return frozenset(self.complex.facets[i] for i in ids)
 
 
@@ -190,10 +201,15 @@ def induce_model(complex: ChromaticComplex, projection: str = "obs") -> Simplici
     """
     if projection not in ("obs", "left"):
         raise ValueError(f"unknown projection {projection!r}")
+    # Facets share vertices, and product facets share their input halves, so
+    # each vertex's atom and each distinct atom set is made once.
+    entries: dict[Vertex, tuple[int, int]] = {}
+    shared: dict[frozenset, frozenset] = {}
     atom_sets = []
     for facet in complex.facets:
-        entries = []
         for v in facet.vertices:
+            if v in entries:
+                continue
             value = v.obs
             if projection == "left":
                 if not (isinstance(value, tuple) and len(value) == 2):
@@ -201,8 +217,9 @@ def induce_model(complex: ChromaticComplex, projection: str = "obs") -> Simplici
                 value = value[0]
             if not isinstance(value, int):
                 raise ValueError(f"input of vertex {v.text()} is not an integer value")
-            entries.append((v.color, value))
-        atom_sets.append(frozenset(entries))
+            entries[v] = (v.color, value)
+        atoms = frozenset(map(entries.__getitem__, facet.vertices))
+        atom_sets.append(shared.setdefault(atoms, atoms))
     return SimplicialModel(complex, tuple(atom_sets))
 
 

@@ -26,6 +26,7 @@ from .complexes import (
     complex_to_json,
     complex_from_json,
     product_facet,
+    vertex_table,
 )
 from .formulas import Formula, and_, atom, or_, parse, render
 from .models import SimplicialModel, induce_model
@@ -87,10 +88,8 @@ def initial_complex(n: int, inputs: Iterable[int]) -> ChromaticComplex:
         raise ValueError("at least one input value required")
     if not all(isinstance(v, int) for v in values):
         raise TypeError("input values must be integers")
-    facets = [
-        Facet(Vertex(a, assignment[a]) for a in range(n + 1))
-        for assignment in iter_product(values, repeat=n + 1)
-    ]
+    vertices = [[Vertex(a, value) for value in values] for a in range(n + 1)]
+    facets = [Facet(choice) for choice in iter_product(*vertices)]
     return ChromaticComplex(n, facets)
 
 
@@ -102,26 +101,42 @@ def initial_model(n: int, inputs: Iterable[int]) -> SimplicialModel:
 # -- protocol action models ------------------------------------------------
 
 
-def immediate_snapshot_action(n: int, inputs: Iterable[int]) -> ActionModel:
-    """One action facet per input facet and ordered set partition of agents."""
-    agents = range(n + 1)
-    partitions = ordered_set_partitions(agents)
+def _view_action(n: int, vectors, inputs: Iterable[int], name: str) -> ActionModel:
+    """One action facet per input facet and view vector.
+
+    Agent a's vertex holds the inputs of the agents in vector[a]; each
+    distinct (agent, view) pair of an input facet is built once.
+    """
+    cells = [tuple(enumerate(vector)) for vector in vectors]
+    distinct = {cell for vector in cells for cell in vector}
+    vertex = vertex_table()
     facets, pre, pinned = [], {}, {}
     for x in initial_complex(n, inputs).facets:
         guard = pin_formula(x)
-        for partition in partitions:
-            seen: set[int] = set()
-            views: dict[int, frozenset] = {}
-            for block in partition:
-                seen |= block
-                view = frozenset((b, x.obs(b)) for b in seen)
-                for a in block:
-                    views[a] = view
-            facet = Facet(Vertex(a, views[a]) for a in agents)
+        at = {
+            (a, seen): vertex(a, frozenset((b, x.vertices[b].obs) for b in seen))
+            for a, seen in distinct
+        }
+        for vector in cells:
+            facet = Facet(map(at.__getitem__, vector))
             facets.append(facet)
             pre[facet] = guard
             pinned[facet] = x
-    return ActionModel(ChromaticComplex(n, facets), pre, "is", pinned)
+    return ActionModel(ChromaticComplex(n, facets), pre, name, pinned)
+
+
+def immediate_snapshot_action(n: int, inputs: Iterable[int]) -> ActionModel:
+    """One action facet per input facet and ordered set partition of agents."""
+    vectors = []
+    for partition in ordered_set_partitions(range(n + 1)):
+        seen: frozenset[int] = frozenset()
+        vector = [seen] * (n + 1)
+        for block in partition:
+            seen |= block
+            for a in block:
+                vector[a] = seen
+        vectors.append(tuple(vector))
+    return _view_action(n, vectors, inputs, "is")
 
 
 def view_vectors(n: int, adversary: Adversary) -> list[tuple[frozenset[int], ...]]:
@@ -157,21 +172,8 @@ def round_operator_action(
     n: int, adversary: Adversary, inputs: Iterable[int] | None = None
 ) -> ActionModel:
     """One action facet per input facet and admissible view vector."""
-    agents = range(n + 1)
     values = range(n + 1) if inputs is None else inputs
-    vectors = view_vectors(n, adversary)
-    facets, pre, pinned = [], {}, {}
-    for x in initial_complex(n, values).facets:
-        guard = pin_formula(x)
-        for vector in vectors:
-            facet = Facet(
-                Vertex(a, frozenset((b, x.obs(b)) for b in vector[a]))
-                for a in agents
-            )
-            facets.append(facet)
-            pre[facet] = guard
-            pinned[facet] = x
-    return ActionModel(ChromaticComplex(n, facets), pre, "round", pinned)
+    return _view_action(n, view_vectors(n, adversary), values, "round")
 
 
 # -- task action models ------------------------------------------------------
@@ -196,11 +198,12 @@ def set_agreement_action(
         raise ValueError(f"agreement bound {k} out of range 1..{n + 1}")
     agents = range(n + 1)
     universe = sorted(range(n + 1) if values is None else set(values))
+    vertex = vertex_table()
     facets, pre = [], {}
     for decisions in iter_product(universe, repeat=n + 1):
         if len(set(decisions)) > k:
             continue
-        facet = Facet(Vertex(a, decisions[a]) for a in agents)
+        facet = Facet(vertex(a, decisions[a]) for a in agents)
         facets.append(facet)
         pre[facet] = and_(
             *(or_(*(atom(b, decisions[a]) for b in agents)) for a in agents)
@@ -212,9 +215,10 @@ def decide_own_input_action(n: int, values: Iterable[int]) -> ActionModel:
     """The trivial task: every agent decides exactly its own input."""
     agents = range(n + 1)
     universe = sorted(set(values))
+    vertex = vertex_table()
     facets, pre, pinned = [], {}, {}
     for decisions in iter_product(universe, repeat=n + 1):
-        facet = Facet(Vertex(a, decisions[a]) for a in agents)
+        facet = Facet(vertex(a, decisions[a]) for a in agents)
         facets.append(facet)
         pre[facet] = and_(*(atom(a, decisions[a]) for a in agents))
         # The decision facet doubles as the input facet it pins.
@@ -229,11 +233,12 @@ def product_update(model: SimplicialModel, action: ActionModel) -> SimplicialMod
     """Keep the product facets whose input half satisfies the precondition."""
     if model.complex.n != action.complex.n:
         raise ValueError("dimension mismatch between model and action")
+    vertex = vertex_table()
     kept = []
     for x in model.complex.facets:
         for y in action.complex.facets:
             if model.satisfies(x, action.pre[y]):
-                kept.append(product_facet(x, y))
+                kept.append(product_facet(x, y, vertex))
     if not kept:
         raise ValueError("empty product update: preconditions exclude every pair")
     return induce_model(ChromaticComplex(model.complex.n, kept), "left")
@@ -245,11 +250,12 @@ def uniform_product(model: SimplicialModel, action: ActionModel) -> SimplicialMo
         raise ValueError(f"action {action.name!r} is not uniform")
     if model.complex.n != action.complex.n:
         raise ValueError("dimension mismatch between model and action")
+    vertex = vertex_table()
     kept = []
     for y in action.complex.facets:
         x = action.pinned[y]
         if x in model.complex:
-            kept.append(product_facet(x, y))
+            kept.append(product_facet(x, y, vertex))
     if not kept:
         raise ValueError("empty product update: no pinned input facet present")
     return induce_model(ChromaticComplex(model.complex.n, kept), "left")

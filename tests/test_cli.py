@@ -256,13 +256,3 @@ def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "nope.json", "--formula", "false")
     assert code == 2
     assert "error" in err
-
-
-def test_thread_cap_validation(capsys, monkeypatch):
-    monkeypatch.setenv("OBSTRUCTION_THREADS", "four")
-    code, _, err = run(capsys, "build", "initial", "--n", "0", "--inputs", "1")
-    assert code == 2
-    assert "OBSTRUCTION_THREADS" in err
-    monkeypatch.setenv("OBSTRUCTION_THREADS", "2")
-    code, _, _ = run(capsys, "build", "initial", "--n", "0", "--inputs", "1")
-    assert code == 0

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obstruction.complexes import (
     ChromaticComplex,
@@ -172,3 +173,69 @@ def test_complex_index_lookup(demo_model):
         assert demo_model.complex.index(f) == i
     with pytest.raises(KeyError):
         demo_model.complex.index(Facet([Vertex(0, 9), Vertex(1, 9), Vertex(2, 9)]))
+
+
+# -- canonical order ---------------------------------------------------------
+
+
+_VALUES = st.integers(0, 2)
+_VIEWS = st.frozensets(st.tuples(st.integers(0, 2), _VALUES), max_size=2)
+# Plain values, views of (agent, obs) pairs, and product pairs.
+_OBSERVATIONS = _VALUES | _VIEWS | st.tuples(_VALUES | _VIEWS, _VALUES | _VIEWS)
+
+
+@st.composite
+def _facet_lists(draw, bad_colors=False):
+    """(n, facets) with repeats made of equal but distinct vertex objects."""
+    n = draw(st.integers(0, 2))
+
+    def facet(colors):
+        return Facet(Vertex(a, draw(_OBSERVATIONS)) for a in colors)
+
+    facets = [facet(range(n + 1)) for _ in range(draw(st.integers(1, 6)))]
+    for f in draw(st.lists(st.sampled_from(facets), max_size=3)):
+        facets.append(Facet(Vertex(v.color, v.obs) for v in reversed(f.vertices)))
+    if bad_colors:
+        right = set(range(n + 1))
+        wrong = st.sets(st.integers(0, n + 1), min_size=1).map(
+            lambda colors: colors | {n + 1} if colors == right else colors
+        )
+        facets.extend(facet(sorted(colors)) for colors in draw(st.lists(wrong, min_size=1, max_size=3)))
+    return n, draw(st.permutations(facets))
+
+
+@settings(deadline=None)
+@given(_facet_lists())
+def test_canonical_order_is_facet_key_order(case):
+    n, facets = case
+    c = ChromaticComplex(n, facets)
+    assert c.facets == tuple(sorted(set(facets), key=Facet.key))
+    assert [c.index(f) for f in facets] == [c.facets.index(f) for f in facets]
+
+
+@settings(deadline=None)
+@given(_facet_lists(bad_colors=True))
+def test_first_wrongly_colored_facet_in_key_order_is_reported(case):
+    n, facets = case
+    expected = tuple(range(n + 1))
+    first = next(f for f in sorted(set(facets), key=Facet.key) if f.colors != expected)
+    with pytest.raises(ValueError) as info:
+        ChromaticComplex(n, facets)
+    assert str(info.value) == (
+        f"facet colors {first.colors} do not match dimension {n} (expected {expected})"
+    )
+
+
+def test_facet_sorts_and_dedupes_unordered_vertices():
+    f = Facet([Vertex(2, 5), Vertex(0, 3), Vertex(1, 4), Vertex(0, 3)])
+    assert f.colors == (0, 1, 2)
+    assert f == Facet([Vertex(0, 3), Vertex(1, 4), Vertex(2, 5)])
+    assert hash(f) == hash(Facet([Vertex(0, 3), Vertex(1, 4), Vertex(2, 5)]))
+    with pytest.raises(ValueError, match="empty facet"):
+        Facet([])
+
+
+def test_product_facet_needs_matching_colors():
+    x = Facet([Vertex(0, 0), Vertex(1, 1)])
+    with pytest.raises(KeyError, match="no vertex of color 1"):
+        product_facet(x, Facet([Vertex(0, 4), Vertex(2, 5)]))

@@ -107,6 +107,13 @@ def test_consensus_obstruction_verdicts_n2():
     assert not protocol.satisfies(solo_zero, phi)
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_verify_obstruction_rejects_cap_below_one(cap):
+    model = initial_model(1, [0, 1])
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        verify_obstruction(model, model, FALSE, cap=cap)
+
+
 # -- wait-free k-agreement obstruction -------------------------------------------
 
 

@@ -124,6 +124,26 @@ def test_agent_out_of_range_rejected(demo_model):
         demo_model.validity(atom(7, 0))
 
 
+@pytest.mark.parametrize("agent", [-1, 3])
+def test_relation_queries_reject_agents_outside_the_model(demo_model, agent):
+    f = demo_model.complex.facets[0]
+    with pytest.raises(KeyError, match="no vertex of color"):
+        demo_model.common_reach(f, {0, agent})
+    with pytest.raises(KeyError, match="no vertex of color"):
+        demo_model.distributed_related(f, {agent})
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_counterexample_cap_below_one_rejected(demo_model, cap):
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        demo_model.counterexamples(FALSE, cap)
+
+
+def test_counterexample_cap_bounds_the_list(demo_model):
+    assert demo_model.counterexamples(FALSE, 1) == [demo_model.complex.facets[0]]
+    assert demo_model.counterexamples(FALSE, 99) == list(demo_model.complex.facets)
+
+
 def test_singleton_distributed_equals_knowledge(demo_model):
     bodies = [someone_has(1), atom(1, 3), not_(atom(0, 0)), FALSE]
     for a in range(3):

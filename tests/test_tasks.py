@@ -1,7 +1,14 @@
 import pytest
 
 from obstruction.adversaries import from_survivor_sets, waitfree
-from obstruction.complexes import Facet, Vertex, project_right, shared_colors
+from obstruction.complexes import (
+    Facet,
+    Vertex,
+    complex_from_json,
+    complex_to_json,
+    project_right,
+    shared_colors,
+)
 from obstruction.formulas import FALSE, render
 from obstruction.tasks import (
     ActionModel,
@@ -362,3 +369,35 @@ def test_imported_action_products_match():
     action = immediate_snapshot_action(1, [0, 1])
     imported = action_from_json(action_to_json(action))
     assert product_update(model, imported).complex == uniform_product(model, action).complex
+
+
+# -- vertex sharing ------------------------------------------------------------
+
+
+def _is_product():
+    return apply_action(initial_model(2, (0, 1)), immediate_snapshot_action(2, (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: apply_action(initial_model(2, range(3)), round_operator_action(2, waitfree(2))),
+        _is_product,
+        lambda: apply_action(initial_model(2, range(3)), set_agreement_action(2, 2)),
+        lambda: round_operator_action(2, waitfree(2)),
+        lambda: immediate_snapshot_action(2, (0, 1)),
+        lambda: set_agreement_action(2, 2),
+        lambda: decide_own_input_action(2, (0, 1)),
+    ],
+    ids=["round-product", "is-product", "sa2-product", "round", "is", "sa2", "trivial"],
+)
+def test_builders_share_one_object_per_vertex(build):
+    c = build().complex
+    assert len({id(v) for f in c.facets for v in f.vertices}) == len(c.vertices())
+
+
+def test_json_round_trip_shares_one_object_per_vertex():
+    original = _is_product().complex
+    c = complex_from_json(complex_to_json(original))
+    assert c == original
+    assert len({id(v) for f in c.facets for v in f.vertices}) == len(c.vertices())
