@@ -267,7 +267,7 @@ def cmd_solve(args) -> int:
 def cmd_export(args) -> int:
     with open(args.model) as handle:
         data = json.load(handle)
-    if "pre" in data:
+    if isinstance(data, dict) and "pre" in data:
         action = tasks.action_from_json(data)
         if args.format == "json":
             _emit(_dump(tasks.action_to_json(action)), args.out)

@@ -185,13 +185,17 @@ class ChromaticComplex:
         canon = sorted(unique, key=lambda f: tuple(map(rank.__getitem__, f.vertices)))
         if not canon:
             raise ValueError("a complex needs at least one facet")
+        # A facet's colors are distinct, so n + 1 of them drawn from 0..n are
+        # exactly 0..n; only a failing complex looks at each facet's colors.
         expected = tuple(range(n + 1))
-        for f in canon:
-            if f.colors != expected:
-                raise ValueError(
-                    f"facet colors {f.colors} do not match dimension {n} "
-                    f"(expected {expected})"
-                )
+        if not {v.color for v in vertices} <= set(expected) or any(
+            len(f.vertices) != n + 1 for f in canon
+        ):
+            bad = next(f for f in canon if f.colors != expected)
+            raise ValueError(
+                f"facet colors {bad.colors} do not match dimension {n} "
+                f"(expected {expected})"
+            )
         self.n = n
         self.facets: tuple[Facet, ...] = tuple(canon)
         self._pos = {f: i for i, f in enumerate(self.facets)}
@@ -252,8 +256,18 @@ def product_facet(
     `vertex` makes the paired vertices; pass a `vertex_table()` to share them
     across the facets of one product.
     """
-    ys = y.vertices if x.colors == y.colors else [y.vertex(c) for c in x.colors]
-    return Facet(vertex(v.color, (v.obs, w.obs)) for v, w in zip(x.vertices, ys))
+    xs, ys = x.vertices, y.vertices
+    # A facet's colors are distinct integers in increasing order, so two
+    # facets with the same first and last colors, each holding every color
+    # in between, have the same colors.
+    same = (
+        xs[0].color == ys[0].color
+        and xs[-1].color == ys[-1].color
+        and len(xs) == len(ys) == xs[-1].color - xs[0].color + 1
+    )
+    if not same:
+        ys = [y.vertex(v.color) for v in xs]
+    return Facet(vertex(v.color, (v.obs, w.obs)) for v, w in zip(xs, ys))
 
 
 def _pair_obs(obs: Obs) -> tuple:
@@ -290,19 +304,35 @@ def complex_to_json(c: ChromaticComplex) -> dict:
     }
 
 
+def _json_field(doc, key: str, kind: type | None, what: str):
+    """`doc[key]` of a JSON object, of type `kind` when given; a malformed
+    document raises ValueError naming `what` it is."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed {what}: expected an object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"malformed {what}: missing {key!r}")
+    value = doc[key]
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+        raise ValueError(
+            f"malformed {what}: {key!r} must be of type {kind.__name__}, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
 def complex_from_json(data: dict) -> ChromaticComplex:
-    try:
-        n = data["n"]
-        raw_facets = data["facets"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed complex document: missing {exc}") from None
+    n = _json_field(data, "n", int, "complex document")
+    raw_facets = _json_field(data, "facets", list, "complex document")
     vertex = vertex_table()
     facets = []
     for entry in raw_facets:
         facets.append(
             Facet(
-                vertex(v["color"], obs_from_json(v["obs"]))
-                for v in entry["vertices"]
+                vertex(
+                    _json_field(v, "color", int, "vertex entry"),
+                    obs_from_json(_json_field(v, "obs", None, "vertex entry")),
+                )
+                for v in _json_field(entry, "vertices", list, "facet entry")
             )
         )
     return ChromaticComplex(n, facets)

@@ -5,7 +5,11 @@ share their `a`-colored vertex. Atoms record input values, taken either from
 the vertex observation itself or, for product models, from its left half.
 """
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import islice
+from typing import Iterator
 
 from .complexes import (
     ChromaticComplex,
@@ -32,9 +36,11 @@ class Verdict:
 class SimplicialModel:
     """An immutable model: a complex plus, per facet, its set of input atoms.
 
-    Evaluation results and common-knowledge closures are memoized per node
-    and facet; with interned formulas the caches stay coherent for the whole
-    lifetime of the model.
+    Satisfaction is set-at-a-time (bitset): each formula node is evaluated
+    once for the whole model, as a Python-int mask over facet ids with bit i
+    set where the node holds at facet i. Masks are stored per formula uid and
+    the partitions behind `K`, `D` and `C` per agent group; with interned
+    formulas both stay coherent for the whole lifetime of the model.
     """
 
     def __init__(self, complex: ChromaticComplex, atoms: tuple[frozenset, ...]):
@@ -42,17 +48,10 @@ class SimplicialModel:
             raise ValueError("one atom set per facet required")
         self.complex = complex
         self._atoms = atoms
-        # For each agent, group facets by their vertex of that color; the
-        # groups are exactly the indistinguishability classes. Facets of a
-        # complex hold colors 0..n in order, so agent a's vertex is at index a.
-        self._classes: list[dict[Vertex, tuple[int, ...]]] = []
-        for a in range(complex.n + 1):
-            groups: dict[Vertex, list[int]] = {}
-            for i, f in enumerate(complex.facets):
-                groups.setdefault(f.vertices[a], []).append(i)
-            self._classes.append({v: tuple(ids) for v, ids in groups.items()})
-        self._eval_memo: dict[tuple[int, int], bool] = {}
-        self._closure_memo: dict[tuple[tuple[int, ...], int], frozenset[int]] = {}
+        self._all = (1 << len(atoms)) - 1
+        self._masks: dict[int, int] = {}
+        self._atom_masks: dict[tuple[int, int], int] | None = None
+        self._partitions: dict[tuple[str, frozenset[int]], list[int]] = {}
         self._checked_agents: set[int] = set()
 
     @property
@@ -66,8 +65,7 @@ class SimplicialModel:
         return self._atoms[self.complex.index(facet)]
 
     def indistinguishable(self, facet: Facet, agent: int) -> tuple[Facet, ...]:
-        ids = self._classes[agent][facet.vertex(agent)]
-        return tuple(self.complex.facets[i] for i in ids)
+        return tuple(self._block(facet, "dist", (agent,)))
 
     # -- satisfaction ------------------------------------------------------
 
@@ -83,113 +81,127 @@ class SimplicialModel:
 
     def satisfies(self, facet: Facet, phi: Formula) -> bool:
         self._validate_agents(phi)
-        return self._eval(phi, self.complex.index(facet))
+        return bool(self._mask(phi) >> self.complex.index(facet) & 1)
 
-    def _eval(self, phi: Formula, idx: int) -> bool:
-        key = (phi.uid, idx)
-        memo = self._eval_memo
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    def _mask(self, phi: Formula) -> int:
+        """The set of facet ids where `phi` holds."""
+        mask = self._masks.get(phi.uid)
+        if mask is not None:
+            return mask
         kind = phi.kind
+        kids = [self._mask(c) for c in phi.children]
         if kind == "false":
-            result = False
+            mask = 0
         elif kind == "atom":
-            result = (phi.agent, phi.value) in self._atoms[idx]
+            if self._atom_masks is None:
+                self._atom_masks = _atom_masks(self._atoms)
+            mask = self._atom_masks.get((phi.agent, phi.value), 0)
         elif kind == "or":
-            result = any(self._eval(c, idx) for c in phi.children)
+            mask = reduce(operator.or_, kids, 0)
         elif kind == "and":
-            result = all(self._eval(c, idx) for c in phi.children)
+            mask = reduce(operator.and_, kids, self._all)
         elif kind == "not":
-            result = not self._eval(phi.children[0], idx)
-        elif kind == "know":
-            facet = self.complex.facets[idx]
-            ids = self._classes[phi.agent][facet.vertices[phi.agent]]
-            child = phi.children[0]
-            result = all(self._eval(child, j) for j in ids)
+            mask = self._all ^ kids[0]
+        else:
+            # K, D and C hold on the blocks of their partition that lie
+            # inside the child's mask; K[a] is D[{a}].
+            agents = frozenset((phi.agent,)) if kind == "know" else phi.agents
+            blocks = self._blocks("dist" if kind == "know" else kind, agents)
+            mask = sum(b for b in blocks if b & kids[0] == b)
+        self._masks[phi.uid] = mask
+        return mask
+
+    def _blocks(self, kind: str, agents: frozenset[int]) -> list[int]:
+        """The partition of facet ids, as masks, that `D[agents]` ("dist") or
+        `C[agents]` ("common") quantifies over: facets sharing their vertex of
+        every agent, one block for no agents; or the connected components of
+        the agents' partitions, singletons for no agents."""
+        blocks = self._partitions.get((kind, agents))
+        if blocks is not None:
+            return blocks
+        facets = self.complex.facets
+        order = sorted(agents)
+        masks: dict = {}
+        if kind == "dist" and not order:
+            masks[()] = self._all
         elif kind == "dist":
-            child = phi.children[0]
-            result = all(self._eval(child, j) for j in self._related_ids(idx, phi.agents))
-        elif kind == "common":
-            child = phi.children[0]
-            result = all(self._eval(child, j) for j in self._closure_ids(idx, phi.agents))
-        else:  # pragma: no cover - exhaustive over kinds
-            raise AssertionError(kind)
-        memo[key] = result
-        return result
+            share = operator.itemgetter(*order)
+            for i, facet in enumerate(facets):
+                key = share(facet.vertices)
+                masks[key] = masks.get(key, 0) | 1 << i
+        else:
+            parent = list(range(len(facets)))
 
-    def _related_ids(self, idx: int, agents: frozenset[int]) -> tuple[int, ...]:
-        if not agents:
-            return tuple(range(len(self.complex.facets)))
-        facet = self.complex.facets[idx]
-        ordered = sorted(agents)
-        ids = set(self._classes[ordered[0]][facet.vertices[ordered[0]]])
-        for a in ordered[1:]:
-            ids &= set(self._classes[a][facet.vertices[a]])
-        return tuple(sorted(ids))
+            def root(i: int) -> int:
+                while parent[i] != i:
+                    parent[i] = i = parent[parent[i]]
+                return i
 
-    def _closure_ids(self, idx: int, agents: frozenset[int]) -> frozenset[int]:
-        key = (tuple(sorted(agents)), idx)
-        hit = self._closure_memo.get(key)
-        if hit is not None:
-            return hit
-        seen = {idx}
-        frontier = [idx]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                facet = self.complex.facets[i]
-                for a in agents:
-                    for j in self._classes[a][facet.vertices[a]]:
-                        if j not in seen:
-                            seen.add(j)
-                            nxt.append(j)
-            frontier = nxt
-        component = frozenset(seen)
-        agents_key = key[0]
-        for i in component:
-            self._closure_memo[(agents_key, i)] = component
-        return component
+            for a in order:
+                first: dict[Vertex, int] = {}
+                for i, facet in enumerate(facets):
+                    j = first.setdefault(facet.vertices[a], i)
+                    if j != i:
+                        parent[root(i)] = root(j)
+            for i in range(len(facets)):
+                r = root(i)
+                masks[r] = masks.get(r, 0) | 1 << i
+        blocks = self._partitions[(kind, agents)] = list(masks.values())
+        return blocks
 
     # -- queries -----------------------------------------------------------
 
     def validity(self, phi: Formula) -> Verdict:
         """Valid, or the first falsifying facet in canonical order."""
         self._validate_agents(phi)
-        for idx, facet in enumerate(self.complex.facets):
-            if not self._eval(phi, idx):
-                return Verdict(facet)
-        return Verdict()
+        first = next(_bits(self._all ^ self._mask(phi)), None)
+        return Verdict(None if first is None else self.complex.facets[first])
 
     def counterexamples(self, phi: Formula, cap: int = 10) -> list[Facet]:
         """Up to `cap` falsifying facets, in canonical order."""
         if cap < 1:
             raise ValueError(f"counterexample cap must be at least 1, got {cap}")
         self._validate_agents(phi)
-        found = []
-        for idx, facet in enumerate(self.complex.facets):
-            if not self._eval(phi, idx):
-                found.append(facet)
-                if len(found) >= cap:
-                    break
-        return found
+        failing = _bits(self._all ^ self._mask(phi))
+        return [self.complex.facets[i] for i in islice(failing, cap)]
 
-    def _agent_set(self, agents) -> frozenset[int]:
+    def _block(self, facet: Facet, kind: str, agents) -> list[Facet]:
+        """The facets of the `kind` block over `agents` that holds `facet`."""
+        idx = self.complex.index(facet)
         group = frozenset(agents)
         for a in group:
             if not 0 <= a <= self.complex.n:
                 raise KeyError(f"no vertex of color {a}")
-        return group
+        block = next(b for b in self._blocks(kind, group) if b >> idx & 1)
+        return [self.complex.facets[i] for i in _bits(block)]
 
     def common_reach(self, facet: Facet, agents) -> frozenset[Facet]:
         """Facets reachable by chains of indistinguishability steps in `agents`."""
-        ids = self._closure_ids(self.complex.index(facet), self._agent_set(agents))
-        return frozenset(self.complex.facets[i] for i in ids)
+        return frozenset(self._block(facet, "common", agents))
 
     def distributed_related(self, facet: Facet, agents) -> frozenset[Facet]:
         """Facets sharing this facet's vertex for every agent in `agents`."""
-        ids = self._related_ids(self.complex.index(facet), self._agent_set(agents))
-        return frozenset(self.complex.facets[i] for i in ids)
+        return frozenset(self._block(facet, "dist", agents))
+
+
+def _atom_masks(atoms: tuple[frozenset, ...]) -> dict[tuple[int, int], int]:
+    """The facet mask of each atom, built over the distinct atom sets."""
+    by_set: dict[frozenset, int] = {}
+    for i, entry in enumerate(atoms):
+        by_set[entry] = by_set.get(entry, 0) | 1 << i
+    masks: dict[tuple[int, int], int] = {}
+    for entry, mask in by_set.items():
+        for pair in entry:
+            masks[pair] = masks.get(pair, 0) | mask
+    return masks
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def induce_model(complex: ChromaticComplex, projection: str = "obs") -> SimplicialModel:
@@ -280,7 +292,13 @@ def model_from_json(data: dict) -> SimplicialModel:
         raise ValueError("mixed observation kinds; cannot infer input projection")
     model = induce_model(complex, projection)
     if "atoms" in data:
-        recorded = [frozenset(map(tuple, entry)) for entry in data["atoms"]]
+        try:
+            recorded = [frozenset(map(tuple, entry)) for entry in data["atoms"]]
+        except TypeError:
+            raise ValueError(
+                "malformed model document: 'atoms' must hold one list of "
+                "[agent, value] pairs per facet"
+            ) from None
         if tuple(recorded) != model._atoms:
             raise ValueError("recorded atoms disagree with the complex")
     return model

@@ -327,12 +327,12 @@ def action_to_json(action: ActionModel) -> dict:
 def action_from_json(data: dict) -> ActionModel:
     complex = complex_from_json(data)
     raw = data.get("pre")
-    if raw is None:
+    if not isinstance(raw, dict):
         raise ValueError("malformed action document: missing preconditions")
     pre = {}
     for i, facet in enumerate(complex.facets):
         text = raw.get(str(i))
-        if text is None:
+        if not isinstance(text, str):
             raise ValueError(f"facet {i} lacks a precondition")
         pre[facet] = parse(text)
     return ActionModel(complex, pre, data.get("name", "imported"))

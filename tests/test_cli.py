@@ -256,3 +256,29 @@ def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "nope.json", "--formula", "false")
     assert code == 2
     assert "error" in err
+
+
+def _demo_doc_with_bad_atoms():
+    doc = model_to_json(build_demo_model())
+    doc["atoms"] = [[1]]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"n": 1, "facets": [5]}, "malformed facet entry: expected an object, got int"),
+        ({"n": "x", "facets": []}, "malformed complex document: 'n' must be of type int, got str"),
+        ({"n": 0, "facets": 3}, "malformed complex document: 'facets' must be of type list, got int"),
+        (_demo_doc_with_bad_atoms(), "malformed model document: 'atoms' must hold one list"),
+        ([1, 2], "malformed complex document: expected an object, got list"),
+    ],
+    ids=["facet-not-object", "n-not-int", "facets-not-list", "bad-atoms", "top-level-list"],
+)
+def test_malformed_model_file_is_usage_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(path), "--formula", "false")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")

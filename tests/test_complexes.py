@@ -239,3 +239,23 @@ def test_product_facet_needs_matching_colors():
     x = Facet([Vertex(0, 0), Vertex(1, 1)])
     with pytest.raises(KeyError, match="no vertex of color 1"):
         product_facet(x, Facet([Vertex(0, 4), Vertex(2, 5)]))
+
+
+@pytest.mark.parametrize(
+    "x_colors,y_colors,missing",
+    [
+        ((0, 1, 3), (0, 2, 3), 1),
+        ((1, 2), (0, 1), 2),
+        ((0, 1), (0, 1, 2), None),
+        ((1, 3), (1, 3), None),
+        ((0, 1, 2), (0, 1, 2), None),
+    ],
+)
+def test_product_facet_pairs_vertices_of_equal_color(x_colors, y_colors, missing):
+    x = Facet(Vertex(c, 10 * c) for c in x_colors)
+    y = Facet(Vertex(c, 10 * c + 1) for c in y_colors)
+    if missing is not None:
+        with pytest.raises(KeyError, match=f"no vertex of color {missing}"):
+            product_facet(x, y)
+        return
+    assert product_facet(x, y) == Facet(Vertex(c, (10 * c, 10 * c + 1)) for c in x_colors)

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obstruction.complexes import ChromaticComplex, Facet, Vertex
 from obstruction.formulas import (
     FALSE,
     TRUE,
+    and_,
     atom,
     common,
     distributed,
@@ -202,6 +204,68 @@ def test_memoized_evaluation_matches_naive(demo_model):
                 phi = not_(phi) if rng.random() < 0.5 else or_(phi, FALSE)
             for facet in model.complex.facets:
                 assert model.satisfies(facet, phi) == naive_satisfies(model, facet, phi)
+
+
+def test_empty_common_group_is_the_formula_itself(demo_model):
+    bodies = [someone_has(1), atom(0, 2), not_(know(1, someone_has(2))), FALSE]
+    for body in bodies:
+        for f in demo_model.complex.facets:
+            assert demo_model.satisfies(f, common((), body)) == demo_model.satisfies(f, body)
+        assert demo_model.counterexamples(common((), body), 5) == demo_model.counterexamples(
+            body, 5
+        )
+
+
+def test_empty_distributed_group_means_everywhere(demo_model):
+    x3 = facet_with_values(demo_model, (0, 3, 2))
+    assert not demo_model.validity(someone_has(1)).is_valid  # fails at x3 only
+    for f in demo_model.complex.facets:
+        assert demo_model.satisfies(f, someone_has(1)) == (f != x3)
+        assert not demo_model.satisfies(f, distributed((), someone_has(1)))
+        assert demo_model.satisfies(f, distributed((), someone_has(2)))
+        assert demo_model.satisfies(f, not_(distributed((), someone_has(1))))
+
+
+@st.composite
+def _models_and_formulas(draw):
+    """A small random chromatic model and formulas over its agents, with
+    negated modal nodes and empty `C`/`D` groups among them."""
+    n = draw(st.integers(0, 2))
+    values = st.integers(0, 2)
+    rows = draw(st.lists(st.tuples(*[values] * (n + 1)), min_size=2, max_size=7))
+    facets = [Facet(Vertex(a, v) for a, v in enumerate(row)) for row in rows]
+    model = induce_model(ChromaticComplex(n, facets), "obs")
+    agents = st.integers(0, n)
+    groups = st.just(frozenset()) | st.frozensets(agents, min_size=1)
+    leaves = st.just(FALSE) | st.builds(atom, agents, values)
+    formulas = st.recursive(
+        leaves,
+        lambda inner: st.builds(not_, inner)
+        | st.builds(or_, inner, inner)
+        | st.builds(and_, inner, inner)
+        | st.builds(know, agents, inner)
+        | st.builds(common, groups, inner)
+        | st.builds(distributed, groups, inner),
+        max_leaves=6,
+    )
+    drawn = draw(st.lists(formulas, min_size=1, max_size=4))
+    phi = drawn[0]
+    return model, drawn + [common((), phi), distributed((), phi), not_(know(0, phi))]
+
+
+@settings(deadline=None)
+@given(_models_and_formulas())
+def test_mask_evaluation_matches_naive_on_random_models(case):
+    model, formulas = case
+    facets = model.complex.facets
+    for phi in formulas:
+        failing = [f for f in facets if not naive_satisfies(model, f, phi)]
+        for f in facets:
+            assert model.satisfies(f, phi) == (f not in failing)
+        verdict = model.validity(phi)
+        assert verdict.counterexample == (failing[0] if failing else None)
+        assert model.counterexamples(phi, len(facets)) == failing
+        assert model.counterexamples(phi, 2) == failing[:2]
 
 
 def test_induce_model_rejects_non_integer_inputs():
