@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
+from .complexes import _json_field
+
 
 @dataclass(frozen=True)
 class Adversary:
@@ -66,7 +68,14 @@ def adversary_to_json(adv: Adversary) -> dict:
 
 
 def adversary_from_json(data: dict) -> Adversary:
-    try:
-        return from_survivor_sets(data["n"], data["survivor_sets"])
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed adversary document: missing {exc}") from None
+    what = "adversary document"
+    n = _json_field(data, "n", int, what)
+    sets = _json_field(data, "survivor_sets", list, what)
+    for s in sets:
+        if not isinstance(s, list) or not all(
+            isinstance(a, int) and not isinstance(a, bool) for a in s
+        ):
+            raise ValueError(
+                f"malformed {what}: 'survivor_sets' must hold lists of ints, got {s!r}"
+            )
+    return from_survivor_sets(n, sets)

@@ -3,15 +3,18 @@
 Solving a task means mapping every protocol vertex to a task vertex of the
 same color and input value so that protocol facets land on task facets.
 Fixing color and input collapses the search to choosing one decision per
-protocol vertex, which a backtracking scan with per-facet forward checking
-decides exhaustively at small scale.
+protocol vertex, which a depth-first scan with forward checking decides
+exhaustively at small scale. Each protocol facet keeps a bitset of the task's
+decision vectors for its inputs that still agree with the decisions fixed so
+far; fixing a vertex ands one precomputed mask into each of its facets, and
+a facet whose bitset empties prunes the branch.
 """
 
 import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .complexes import Facet, Vertex, obs_key, project_left
+from .complexes import Vertex, obs_key
 from .formulas import Formula, atom, and_, or_, not_, know, common, distributed, is_positive
 from .models import SimplicialModel, map_facet, morphism_violation
 
@@ -27,10 +30,6 @@ class SolvabilityResult:
     status: Solvability
     witness: dict | None
     explored: int
-
-
-class _Budget(Exception):
-    pass
 
 
 def _require_product(model: SimplicialModel, role: str) -> None:
@@ -59,81 +58,80 @@ def find_morphism(
     _require_product(task, "task")
 
     # Decisions available per (color, input value), in ascending order.
-    decisions: dict[tuple[int, int], list] = {}
+    decisions: dict[tuple[int, int], set] = {}
     for v in task.complex.vertices():
-        decisions.setdefault((v.color, v.obs[0]), []).append(v.obs[1])
-    for options in decisions.values():
-        options.sort(key=obs_key)
-        deduped = []
-        for d in options:
-            if not deduped or deduped[-1] != d:
-                deduped.append(d)
-        options[:] = deduped
+        decisions.setdefault((v.color, v.obs[0]), set()).add(v.obs[1])
+    decisions = {key: sorted(ds, key=obs_key) for key, ds in decisions.items()}
 
-    # Decision vectors allowed per input facet of the task.
-    allowed_by_input: dict[Facet, list[tuple]] = {}
+    # Allowed decision vectors per input facet of the task, keyed by its input
+    # values (facets are pure, so position i is color i). masks[inputs][i][d]
+    # has bit j set when the j-th allowed vector decides d at position i.
+    allowed: dict[tuple, list[tuple]] = {}
     for f in task.complex.facets:
-        vector = tuple(v.obs[1] for v in f.vertices)
-        allowed_by_input.setdefault(project_left(f), []).append(vector)
+        inputs = tuple([v.obs[0] for v in f.vertices])
+        allowed.setdefault(inputs, []).append(tuple([v.obs[1] for v in f.vertices]))
+    masks: dict[tuple, list[dict]] = {}
+    for inputs, vectors in allowed.items():
+        table = masks[inputs] = [{} for _ in inputs]
+        for j, vector in enumerate(vectors):
+            for column, d in zip(table, vector):
+                column[d] = column.get(d, 0) | 1 << j
 
-    vertices = sorted(protocol.complex.vertices(), key=Vertex.key)
-    candidates = {
-        v: decisions.get((v.color, v.obs[0]), []) for v in vertices
-    }
-    membership: dict[Vertex, list[int]] = {v: [] for v in vertices}
-    facet_allowed: list[list[tuple]] = []
+    # live[i]: the allowed vectors of protocol facet i that agree with every
+    # decision fixed so far; the facet can still be completed iff it is nonzero.
+    live: list[int] = []
+    incidence: dict[Vertex, list[tuple[int, dict]]] = {}
+    no_vectors = [{}] * (protocol.complex.n + 1)
     for i, facet in enumerate(protocol.complex.facets):
-        facet_allowed.append(allowed_by_input.get(project_left(facet), []))
-        for v in facet.vertices:
-            membership[v].append(i)
+        inputs = tuple([v.obs[0] for v in facet.vertices])
+        live.append((1 << len(allowed.get(inputs, ()))) - 1)
+        for v, column in zip(facet.vertices, masks.get(inputs, no_vectors)):
+            incidence.setdefault(v, []).append((i, column))
+    vertices = sorted(incidence, key=Vertex.key)
+    candidates = {v: decisions.get((v.color, v.obs[0]), []) for v in vertices}
 
-    # Most constrained first; higher facet degree breaks ties for pruning power.
-    order = sorted(
-        vertices,
-        key=lambda v: (len(candidates[v]), -len(membership[v]), v.key()),
-    )
-    protocol_facets = protocol.complex.facets
-    assignment: dict[Vertex, object] = {}
+    # Most constrained first; higher facet degree breaks ties for pruning
+    # power, then the (stable) canonical vertex order.
+    order = sorted(vertices, key=lambda v: (len(candidates[v]), -len(incidence[v])))
+    # Per depth: the facets of its vertex, and for each of its candidate
+    # decisions the masks that fixing it ands into those facets' live sets.
+    facet_ids = [[i for i, _ in incidence[v]] for v in order]
+    narrowing = [
+        [[column.get(d, 0) for _, column in incidence[v]] for d in candidates[v]]
+        for v in order
+    ]
+
+    # Depth-first over `order` with an explicit stack: tried[k] counts the
+    # candidates taken at depth k, saved[k] holds the live sets it overwrote.
+    tried = [0] * len(order)
+    saved: list[list[int]] = []
     explored = 0
+    depth = 0
+    while depth < len(order):
+        ids = facet_ids[depth]
+        k = tried[depth]
+        if k == len(narrowing[depth]):
+            if depth == 0:
+                return SolvabilityResult(Solvability.UNSOLVABLE, None, explored)
+            tried[depth] = 0
+            depth -= 1
+            for i, old in zip(facet_ids[depth], saved.pop()):
+                live[i] = old
+            continue
+        if explored >= budget:
+            return SolvabilityResult(Solvability.RESOURCE_LIMIT, None, explored)
+        explored += 1
+        tried[depth] = k + 1
+        narrowed = [live[i] & m for i, m in zip(ids, narrowing[depth][k])]
+        if all(narrowed):
+            saved.append([live[i] for i in ids])
+            for i, m in zip(ids, narrowed):
+                live[i] = m
+            depth += 1
 
-    def consistent(facet_id: int) -> bool:
-        facet = protocol_facets[facet_id]
-        fixed = [
-            (i, assignment[v])
-            for i, v in enumerate(facet.vertices)
-            if v in assignment
-        ]
-        return any(
-            all(vector[i] == d for i, d in fixed)
-            for vector in facet_allowed[facet_id]
-        )
-
-    def search(depth: int) -> bool:
-        nonlocal explored
-        if depth == len(order):
-            return True
-        vertex = order[depth]
-        for d in candidates[vertex]:
-            if explored >= budget:
-                raise _Budget()
-            explored += 1
-            assignment[vertex] = d
-            if all(consistent(i) for i in membership[vertex]):
-                if search(depth + 1):
-                    return True
-            del assignment[vertex]
-        return False
-
-    try:
-        found = search(0)
-    except _Budget:
-        return SolvabilityResult(Solvability.RESOURCE_LIMIT, None, explored)
-
-    if not found:
-        return SolvabilityResult(Solvability.UNSOLVABLE, None, explored)
-
+    chosen = {v: candidates[v][tried[k] - 1] for k, v in enumerate(order)}
     witness = {
-        v: Vertex(v.color, (v.obs[0], assignment[v])) for v in vertices
+        v: Vertex(v.color, (v.obs[0], chosen[v])) for v in vertices
     }
     problem = solution_violation(witness, protocol, task)
     if problem is not None:  # pragma: no cover - internal consistency guard

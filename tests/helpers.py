@@ -1,6 +1,7 @@
-"""Shared test utilities: facet locators and an independent naive evaluator."""
+"""Shared test utilities: facet locators, an independent naive evaluator and
+the plain backtracking reference for the decision-map search."""
 
-from obstruction.complexes import Facet, shared_colors
+from obstruction.complexes import Facet, Vertex, obs_key, project_left, shared_colors
 from obstruction.models import SimplicialModel
 from obstruction.tasks import input_of, seen_agents
 
@@ -76,3 +77,70 @@ def naive_satisfies(model: SimplicialModel, facet: Facet, phi) -> bool:
         raise AssertionError(kind)
 
     return ev(facet, phi)
+
+
+def naive_find_morphism(protocol: SimplicialModel, task: SimplicialModel, budget: int):
+    """Reference for `solver.find_morphism`: the same search order, checked plainly.
+
+    Recursive backtracking that re-derives each touched facet's fixed
+    positions and rescans its allowed decision vectors on every node. Returns
+    (status, explored, decision per protocol vertex or None); only for small
+    instances, since it recurses once per protocol vertex.
+    """
+    decisions = {}
+    for v in task.complex.vertices():
+        options = decisions.setdefault((v.color, v.obs[0]), [])
+        if v.obs[1] not in options:
+            options.append(v.obs[1])
+    for options in decisions.values():
+        options.sort(key=obs_key)
+
+    allowed_by_input = {}
+    for f in task.complex.facets:
+        vector = tuple(v.obs[1] for v in f.vertices)
+        allowed_by_input.setdefault(project_left(f), []).append(vector)
+
+    vertices = sorted(protocol.complex.vertices(), key=Vertex.key)
+    candidates = {v: decisions.get((v.color, v.obs[0]), []) for v in vertices}
+    facets = protocol.complex.facets
+    membership = {v: [] for v in vertices}
+    for i, facet in enumerate(facets):
+        for v in facet.vertices:
+            membership[v].append(i)
+    order = sorted(
+        vertices, key=lambda v: (len(candidates[v]), -len(membership[v]), v.key())
+    )
+    assignment = {}
+    explored = 0
+
+    def consistent(facet_id):
+        facet = facets[facet_id]
+        fixed = [(i, assignment[v]) for i, v in enumerate(facet.vertices) if v in assignment]
+        return any(
+            all(vector[i] == d for i, d in fixed)
+            for vector in allowed_by_input.get(project_left(facet), [])
+        )
+
+    def search(depth):
+        nonlocal explored
+        if depth == len(order):
+            return True
+        vertex = order[depth]
+        for d in candidates[vertex]:
+            if explored >= budget:
+                raise OverflowError
+            explored += 1
+            assignment[vertex] = d
+            if all(consistent(i) for i in membership[vertex]):
+                if search(depth + 1):
+                    return True
+            del assignment[vertex]
+        return False
+
+    try:
+        found = search(0)
+    except OverflowError:
+        return "resource-limit", explored, None
+    if not found:
+        return "unsolvable", explored, None
+    return "solvable", explored, dict(assignment)

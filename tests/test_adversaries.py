@@ -142,3 +142,24 @@ def test_json_round_trip():
 def test_json_rejects_malformed():
     with pytest.raises(ValueError, match="malformed"):
         adversary_from_json({"n": 2})
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ([1, 2], "malformed adversary document: expected an object, got list"),
+        (
+            {"n": "x", "survivor_sets": []},
+            "malformed adversary document: 'n' must be of type int, got str",
+        ),
+        (
+            {"n": 2, "survivor_sets": [5]},
+            "malformed adversary document: 'survivor_sets' must hold lists of ints, got 5",
+        ),
+    ],
+    ids=["top-level-list", "n-not-int", "set-not-list"],
+)
+def test_json_names_the_malformed_field(doc, message):
+    with pytest.raises(ValueError) as err:
+        adversary_from_json(doc)
+    assert str(err.value) == message

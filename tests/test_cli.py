@@ -282,3 +282,38 @@ def test_malformed_model_file_is_usage_error(tmp_path, capsys, doc, message):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ([1, 2], "malformed adversary document: expected an object, got list"),
+        (
+            {"n": "x", "survivor_sets": []},
+            "malformed adversary document: 'n' must be of type int, got str",
+        ),
+        (
+            {"n": 2, "survivor_sets": [5]},
+            "malformed adversary document: 'survivor_sets' must hold lists of ints, got 5",
+        ),
+    ],
+    ids=["top-level-list", "n-not-int", "set-not-list"],
+)
+def test_malformed_adversary_file_is_usage_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "adv.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "build", f"round:{path}", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad adversary file {str(path)!r}: {message}\n"
+
+
+def test_solve_beyond_the_recursion_limit(tmp_path, capsys):
+    # 1,856 protocol vertices: the search must not recurse once per vertex.
+    adv = tmp_path / "sp.json"
+    adv.write_text(json.dumps({"n": 3, "survivor_sets": [[0, 1], [2, 3]]}))
+    code, out, _ = run(
+        capsys, "solve", f"I[round:{adv}]", "I[sa-trivial]", "--n", "3", "--inputs", "0,1,2,3"
+    )
+    assert code == 0
+    assert out.startswith("status: solvable\nexplored: 1856\n")

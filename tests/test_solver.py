@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from obstruction.adversaries import waitfree
+from obstruction.adversaries import from_survivor_sets, waitfree
 from obstruction.complexes import Vertex, project_left
 from obstruction.formulas import atom, is_positive, know, not_
 from obstruction.generators import binary_consensus_obstruction, verify_obstruction
@@ -23,6 +23,8 @@ from obstruction.tasks import (
     round_operator_action,
     set_agreement_action,
 )
+
+from helpers import naive_find_morphism
 
 
 def snapshot_protocol(n=1, inputs=(0, 1)):
@@ -224,3 +226,76 @@ def test_random_positive_formulas_are_deterministic():
         for _ in range(5)
     ]
     assert first == second
+
+
+def sperner_instance():
+    """IS vs 2-set agreement at n=2, inputs 0..2: unsolvable by Sperner's lemma."""
+    initial = initial_model(2, [0, 1, 2])
+    return (
+        apply_action(initial, immediate_snapshot_action(2, [0, 1, 2])),
+        apply_action(initial, set_agreement_action(2, 2, [0, 1, 2])),
+    )
+
+
+def reference_instances():
+    """The (protocol, task) pairs searched by the tests above."""
+    initial = initial_model(1, [0, 1])
+    return {
+        "is-vs-consensus": (snapshot_protocol(), consensus_task()),
+        "is-vs-trivial": (snapshot_protocol(), trivial_task()),
+        "is-vs-itself": (snapshot_protocol(), snapshot_protocol()),
+        "round-n2-vs-sa1": (
+            apply_action(initial_model(2, [0, 1, 2]), round_operator_action(2, waitfree(2))),
+            apply_action(initial_model(2, [0, 1, 2]), set_agreement_action(2, 1)),
+        ),
+        "round-n1-vs-sa1": (
+            apply_action(initial, round_operator_action(1, waitfree(1), [0, 1])),
+            apply_action(initial, set_agreement_action(1, 1, [0, 1])),
+        ),
+        "is-n1-vs-sa1": (
+            apply_action(initial, immediate_snapshot_action(1, [0, 1])),
+            apply_action(initial, set_agreement_action(1, 1, [0, 1])),
+        ),
+    }
+
+
+def search_outcome(result):
+    decisions = None
+    if result.witness is not None:
+        decisions = {v: image.obs[1] for v, image in result.witness.items()}
+    return result.status.value, result.explored, decisions
+
+
+@pytest.mark.parametrize("name", sorted(reference_instances()))
+def test_search_matches_plain_backtracking_at_every_budget(name):
+    protocol, task = reference_instances()[name]
+    for budget in (1, 2, 5, 17, 100, 10_000_000):
+        expected = naive_find_morphism(protocol, task, budget)
+        assert search_outcome(find_morphism(protocol, task, budget)) == expected, budget
+
+
+def test_search_matches_plain_backtracking_on_sperner_instance():
+    protocol, task = sperner_instance()
+    expected = naive_find_morphism(protocol, task, 2_000)
+    assert expected[:2] == ("resource-limit", 2_000)
+    assert search_outcome(find_morphism(protocol, task, 2_000)) == expected
+
+
+def test_sperner_instance_stops_at_the_budget():
+    result = find_morphism(*sperner_instance(), budget=20_000)
+    assert result.status is Solvability.RESOURCE_LIMIT
+    assert result.explored == 20_000
+    assert result.witness is None
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # Split-pair adversary at n=3, inputs 0..3: 16,128 facets and 1,856
+    # protocol vertices, far more than the interpreter's recursion limit.
+    inputs = [0, 1, 2, 3]
+    split = from_survivor_sets(3, [{0, 1}, {2, 3}])
+    protocol = apply_action(initial_model(3, inputs), round_operator_action(3, split, inputs))
+    task = apply_action(initial_model(3, inputs), decide_own_input_action(3, inputs))
+    assert len(protocol.complex.vertices()) == 1856
+    result = find_morphism(protocol, task)
+    assert result.status is Solvability.SOLVABLE
+    assert result.explored == 1856
