@@ -99,23 +99,19 @@ def _build_action(token: str, n: int, inputs, args) -> tasks.ActionModel:
     raise UsageError(f"unknown model spec {token!r}")
 
 
-def _build_from_spec(spec: str, n: int, inputs, args):
-    """Returns (kind, object): a model, an action model, or a product model."""
-    token = _action_tokens(spec)
-    if token is None:
-        return "model", tasks.initial_model(n, inputs)
-    action = _build_action(token, n, inputs, args)
-    if spec.startswith("I["):
-        return "model", tasks.apply_action(tasks.initial_model(n, inputs), action)
-    return "action", action
-
-
 def _product_model(spec: str, n: int, inputs, args) -> models.SimplicialModel:
     token = _action_tokens(spec)
     if token is None:
         raise UsageError(f"spec {spec!r} does not name a product model")
     action = _build_action(token, n, inputs, args)
     return tasks.apply_action(tasks.initial_model(n, inputs), action)
+
+
+def _product_models(args, first: str, second: str) -> list[models.SimplicialModel]:
+    """The product models of two specs, in order, over shared default inputs."""
+    tokens = [_action_tokens(first), _action_tokens(second)]
+    inputs = args.inputs or _default_inputs(tokens, args.n)
+    return [_product_model(spec, args.n, inputs, args) for spec in (first, second)]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -147,18 +143,28 @@ def _action_text(action: tasks.ActionModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_build(args) -> int:
-    inputs = args.inputs or _default_inputs([_action_tokens(args.spec)], args.n)
-    kind, built = _build_from_spec(args.spec, args.n, inputs, args)
-    if args.format == "json":
-        doc = models.model_to_json(built) if kind == "model" else tasks.action_to_json(built)
-        _emit(_dump(doc), args.out)
-    elif args.format == "dot":
-        complex = built.complex
-        _emit(models.complex_to_dot(complex), args.out)
+def _write_built(built, fmt: str, out: str | None) -> None:
+    """Write a model or an action model as json, dot or text."""
+    is_model = isinstance(built, models.SimplicialModel)
+    if fmt == "json":
+        doc = models.model_to_json(built) if is_model else tasks.action_to_json(built)
+        _emit(_dump(doc), out)
+    elif fmt == "dot":
+        _emit(models.complex_to_dot(built.complex), out)
     else:
-        text = _model_text(built) if kind == "model" else _action_text(built)
-        _emit(text, args.out)
+        _emit(_model_text(built) if is_model else _action_text(built), out)
+
+
+def cmd_build(args) -> int:
+    token = _action_tokens(args.spec)
+    inputs = args.inputs or _default_inputs([token], args.n)
+    if token is None:
+        built = tasks.initial_model(args.n, inputs)
+    elif args.spec.startswith("I["):
+        built = _product_model(args.spec, args.n, inputs, args)
+    else:
+        built = _build_action(token, args.n, inputs, args)
+    _write_built(built, args.format, args.out)
     return 0
 
 
@@ -184,12 +190,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_obstruct(args) -> int:
-    task_token = _action_tokens(args.task)
-    protocol_token = _action_tokens(args.protocol)
-    inputs = args.inputs or _default_inputs([task_token, protocol_token], args.n)
-    task = _product_model(args.task, args.n, inputs, args)
-    protocol = _product_model(args.protocol, args.n, inputs, args)
-
+    task, protocol = _product_models(args, args.task, args.protocol)
     if args.gen == "bc":
         phi = generators.binary_consensus_obstruction(args.n)
     elif args.gen.startswith("waitfree"):
@@ -199,6 +200,7 @@ def cmd_obstruct(args) -> int:
         phi = generators.waitfree_kset_obstruction(args.n, k)
     elif args.gen == "adversary":
         source = args.adversary
+        protocol_token = _action_tokens(args.protocol)
         if source is None and protocol_token and protocol_token.startswith("round:"):
             source = protocol_token.split(":", 1)[1]
         if source is None:
@@ -224,11 +226,7 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    protocol_token = _action_tokens(args.protocol)
-    task_token = _action_tokens(args.task)
-    inputs = args.inputs or _default_inputs([protocol_token, task_token], args.n)
-    protocol = _product_model(args.protocol, args.n, inputs, args)
-    task = _product_model(args.task, args.n, inputs, args)
+    protocol, task = _product_models(args, args.protocol, args.task)
     result = solver.find_morphism(protocol, task, args.budget)
     print(f"status: {result.status.value}")
     print(f"explored: {result.explored}")
@@ -268,21 +266,10 @@ def cmd_export(args) -> int:
     with open(args.model) as handle:
         data = json.load(handle)
     if isinstance(data, dict) and "pre" in data:
-        action = tasks.action_from_json(data)
-        if args.format == "json":
-            _emit(_dump(tasks.action_to_json(action)), args.out)
-        elif args.format == "dot":
-            _emit(models.complex_to_dot(action.complex), args.out)
-        else:
-            _emit(_action_text(action), args.out)
-        return 0
-    model = models.model_from_json(data)
-    if args.format == "json":
-        _emit(_dump(models.model_to_json(model)), args.out)
-    elif args.format == "dot":
-        _emit(models.model_to_dot(model), args.out)
+        built = tasks.action_from_json(data)
     else:
-        _emit(_model_text(model), args.out)
+        built = models.model_from_json(data)
+    _write_built(built, args.format, args.out)
     return 0
 
 
@@ -300,11 +287,11 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=None, help="agreement bound for bare 'sa' specs")
         p.add_argument("--adversary", default=None, help="adversary file, or 'waitfree'")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "dot", "text"), default="json")
 
     p_build = sub.add_parser("build", help="construct and export a model")
     p_build.add_argument("spec")
     common_flags(p_build)
+    p_build.add_argument("--format", choices=("json", "dot", "text"), default="json")
     p_build.set_defaults(func=cmd_build)
 
     p_check = sub.add_parser("check", help="evaluate a formula over an exported model")
@@ -319,6 +306,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p_obs.add_argument("protocol")
     p_obs.add_argument("--gen", required=True, help="bc | waitfree:K | adversary")
     common_flags(p_obs)
+    p_obs.add_argument("--format", choices=("json", "text"), default="json")
     p_obs.set_defaults(func=cmd_obstruct)
 
     p_solve = sub.add_parser("solve", help="search for a solving decision map")

@@ -290,10 +290,6 @@ def left_of(v: Vertex) -> Vertex:
     return Vertex(v.color, _pair_obs(v.obs)[0])
 
 
-def right_of(v: Vertex) -> Vertex:
-    return Vertex(v.color, _pair_obs(v.obs)[1])
-
-
 def complex_to_json(c: ChromaticComplex) -> dict:
     return {
         "n": c.n,

@@ -5,13 +5,15 @@ the task model yet falsified somewhere in the protocol model; exhibiting one
 refutes solvability. The generators here target consensus and k-set
 agreement; the agreement family is built by recursion over agent sets,
 ordered by inverse inclusion, with nodes shared through formula interning.
+The wait-free k-agreement obstruction is that family for the wait-free
+adversary, restricted to groups of at most k agents.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, TypeVar
 
-from .adversaries import Adversary
+from .adversaries import Adversary, waitfree
 from .complexes import Facet
 from .formulas import (
     FALSE,
@@ -65,32 +67,6 @@ def _subsets_of(pool: Iterable[int], sizes: Iterable[int]) -> list[frozenset[int
 def _values_known(group: frozenset[int], agents: range) -> Formula:
     """Some agent holds an input from `group`."""
     return or_(*(atom(b, j) for j in sorted(group) for b in agents))
-
-
-def waitfree_kset_obstruction(n: int, k: int) -> Formula:
-    """The inductively built obstruction against one-round wait-free k-agreement."""
-    if not 1 <= k <= n:
-        raise ValueError(f"agreement bound {k} out of range 1..{n}")
-    agents = range(n + 1)
-    memo: dict[frozenset[int], Formula] = {}
-
-    def guarded(group: frozenset[int]) -> Formula:
-        hit = memo.get(group)
-        if hit is not None:
-            return hit
-        rest = sorted(set(agents) - group)
-        parts = [not_(atom(a, a)) for a in rest]
-        parts += [know(a, _values_known(group, agents)) for a in rest]
-        parts += [
-            guarded(group | extra)
-            for extra in _subsets_of(rest, range(1, n + 1 - len(group)))
-        ]
-        result = distributed(group, or_(*parts))
-        memo[group] = result
-        return result
-
-    cases = [guarded(g) for g in _subsets_of(agents, range(1, k + 1))]
-    return or_(*(not_(atom(a, a)) for a in agents), *cases)
 
 
 @dataclass(frozen=True)
@@ -158,6 +134,18 @@ def adversary_obstruction_family(
 
 def adversary_obstruction(n: int, adversary: Adversary, prune: bool = True) -> Formula:
     return adversary_obstruction_family(n, adversary, prune).phi
+
+
+def waitfree_kset_obstruction(n: int, k: int) -> Formula:
+    """The wait-free adversary's obstruction, cut at groups of at most k agents."""
+    if not 1 <= k <= n:
+        raise ValueError(f"agreement bound {k} out of range 1..{n}")
+    agents = range(n + 1)
+    guarded = adversary_obstruction_family(n, waitfree(n)).guarded
+    return or_(
+        *(not_(atom(a, a)) for a in agents),
+        *(guarded[g] for g in _subsets_of(agents, range(1, k + 1))),
+    )
 
 
 @dataclass(frozen=True)

@@ -320,10 +320,6 @@ def complex_to_dot(complex: ChromaticComplex, name: str = "model") -> str:
     return "\n".join(lines) + "\n"
 
 
-def model_to_dot(model: SimplicialModel, name: str = "model") -> str:
-    return complex_to_dot(model.complex, name)
-
-
 def verdict_text(verdict: Verdict) -> str:
     if verdict.is_valid:
         return "valid"

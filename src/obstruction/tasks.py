@@ -5,20 +5,20 @@ precondition formula. Applying an action to an initial model keeps exactly
 the product facets whose input half satisfies the action's precondition.
 
 The one-round protocols built here index their facets by how much each agent
-saw of the shared memory:
+saw of the shared memory, and share one builder fed with view vectors:
 
-* the snapshot protocol enumerates ordered set partitions of the agents,
-  every agent seeing the writes of all blocks up to its own;
 * the adversarial round operator enumerates per-agent view sets that must
   include the agent itself, include a surviving process set, and be totally
-  ordered by inclusion (no immediacy requirement, so it admits more facets).
+  ordered by inclusion;
+* the immediate snapshot protocol keeps the wait-free round's vectors that
+  are also immediate (whoever an agent sees saw at most what it saw).
 """
 
 from dataclasses import dataclass
 from itertools import combinations, product as iter_product
 from typing import Iterable, Sequence
 
-from .adversaries import Adversary
+from .adversaries import Adversary, waitfree
 from .complexes import (
     ChromaticComplex,
     Facet,
@@ -125,22 +125,13 @@ def _view_action(n: int, vectors, inputs: Iterable[int], name: str) -> ActionMod
     return ActionModel(ChromaticComplex(n, facets), pre, name, pinned)
 
 
-def immediate_snapshot_action(n: int, inputs: Iterable[int]) -> ActionModel:
-    """One action facet per input facet and ordered set partition of agents."""
-    vectors = []
-    for partition in ordered_set_partitions(range(n + 1)):
-        seen: frozenset[int] = frozenset()
-        vector = [seen] * (n + 1)
-        for block in partition:
-            seen |= block
-            for a in block:
-                vector[a] = seen
-        vectors.append(tuple(vector))
-    return _view_action(n, vectors, inputs, "is")
-
-
 def view_vectors(n: int, adversary: Adversary) -> list[tuple[frozenset[int], ...]]:
-    """Per-agent view sets: self-including, surviving, totally ordered by inclusion."""
+    """Per-agent view sets: self-including, surviving, totally ordered by inclusion.
+
+    Vectors grow agent by agent, keeping a view only when it is comparable
+    with every view already chosen; the list is in `itertools.product` order
+    of the per-agent options.
+    """
     if adversary.n != n:
         raise ValueError("adversary dimension mismatch")
     agents = range(n + 1)
@@ -148,14 +139,14 @@ def view_vectors(n: int, adversary: Adversary) -> list[tuple[frozenset[int], ...
         [s for s in _nonempty_subsets(agents) if a in s and adversary.contains(s)]
         for a in agents
     ]
-    vectors = []
-    for combo in iter_product(*options):
-        if all(
-            combo[i] <= combo[j] or combo[j] <= combo[i]
-            for i in agents
-            for j in range(i + 1, n + 1)
-        ):
-            vectors.append(combo)
+    vectors: list[tuple[frozenset[int], ...]] = [()]
+    for choices in options:
+        vectors = [
+            vector + (view,)
+            for vector in vectors
+            for view in choices
+            if all(seen <= view or view <= seen for seen in vector)
+        ]
     return vectors
 
 
@@ -166,6 +157,12 @@ def is_immediate(vector: Sequence[frozenset[int]]) -> bool:
         for a in range(len(vector))
         for b in vector[a]
     )
+
+
+def immediate_snapshot_action(n: int, inputs: Iterable[int]) -> ActionModel:
+    """The wait-free round restricted to its immediate view vectors."""
+    vectors = [v for v in view_vectors(n, waitfree(n)) if is_immediate(v)]
+    return _view_action(n, vectors, inputs, "is")
 
 
 def round_operator_action(

@@ -1,9 +1,16 @@
-"""Shared test utilities: facet locators, an independent naive evaluator and
-the plain backtracking reference for the decision-map search."""
+"""Shared test utilities: facet locators, an independent naive evaluator, the
+plain backtracking reference for the decision-map search, and the direct
+constructions that the package now derives from general builders (round view
+vectors by product-then-filter, immediate snapshot vectors from ordered set
+partitions, the inductive wait-free k-agreement obstruction)."""
 
+from itertools import combinations, product as iter_product
+
+from obstruction.adversaries import Adversary
 from obstruction.complexes import Facet, Vertex, obs_key, project_left, shared_colors
+from obstruction.formulas import Formula, atom, distributed, know, not_, or_
 from obstruction.models import SimplicialModel
-from obstruction.tasks import input_of, seen_agents
+from obstruction.tasks import input_of, ordered_set_partitions, seen_agents
 
 
 def facet_with_values(model: SimplicialModel, values) -> Facet:
@@ -144,3 +151,68 @@ def naive_find_morphism(protocol: SimplicialModel, task: SimplicialModel, budget
     if not found:
         return "unsolvable", explored, None
     return "solvable", explored, dict(assignment)
+
+
+def _subsets(pool, sizes) -> list[frozenset[int]]:
+    ordered = sorted(pool)
+    return [frozenset(c) for size in sizes for c in combinations(ordered, size)]
+
+
+def product_view_vectors(n: int, adversary: Adversary) -> list[tuple[frozenset[int], ...]]:
+    """Reference for `tasks.view_vectors`: every per-agent choice of a
+    self-including surviving view, then only the chains by inclusion."""
+    agents = range(n + 1)
+    nonempty = sorted(tuple(sorted(s)) for s in _subsets(agents, range(1, n + 2)))
+    options = [
+        [frozenset(s) for s in nonempty if a in s and adversary.contains(s)]
+        for a in agents
+    ]
+    return [
+        combo
+        for combo in iter_product(*options)
+        if all(
+            combo[i] <= combo[j] or combo[j] <= combo[i]
+            for i in agents
+            for j in range(i + 1, n + 1)
+        )
+    ]
+
+
+def partition_view_vectors(n: int) -> list[tuple[frozenset[int], ...]]:
+    """Immediate snapshot view vectors, one per ordered set partition of the
+    agents: every agent sees the writes of all blocks up to its own."""
+    vectors = []
+    for partition in ordered_set_partitions(range(n + 1)):
+        seen: frozenset[int] = frozenset()
+        vector = [seen] * (n + 1)
+        for block in partition:
+            seen |= block
+            for a in block:
+                vector[a] = seen
+        vectors.append(tuple(vector))
+    return vectors
+
+
+def inductive_waitfree_obstruction(n: int, k: int) -> Formula:
+    """Reference for `generators.waitfree_kset_obstruction`: the wait-free
+    case built by its own recursion over growing agent groups."""
+    agents = range(n + 1)
+    memo: dict[frozenset[int], Formula] = {}
+
+    def values_known(group):
+        return or_(*(atom(b, j) for j in sorted(group) for b in agents))
+
+    def guarded(group: frozenset[int]) -> Formula:
+        if group not in memo:
+            rest = sorted(set(agents) - group)
+            parts = [not_(atom(a, a)) for a in rest]
+            parts += [know(a, values_known(group)) for a in rest]
+            parts += [
+                guarded(group | extra)
+                for extra in _subsets(rest, range(1, n + 1 - len(group)))
+            ]
+            memo[group] = distributed(group, or_(*parts))
+        return memo[group]
+
+    cases = [guarded(g) for g in _subsets(agents, range(1, k + 1))]
+    return or_(*(not_(atom(a, a)) for a in agents), *cases)

@@ -228,6 +228,18 @@ def test_solve_rejects_bad_budget(capsys):
     assert err.value.code == 2
 
 
+def test_solve_rejects_format(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "I[is]", "I[bc]", "--n", "1", "--format", "json"])
+    assert err.value.code == 2
+
+
+def test_obstruct_rejects_dot_format(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["obstruct", "I[bc]", "I[is]", "--gen", "bc", "--n", "2", "--format", "dot"])
+    assert err.value.code == 2
+
+
 def test_export_round_trips_between_formats(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     code, _, _ = run(capsys, "build", "I[bc]", "--n", "1", "--out", str(model_path))

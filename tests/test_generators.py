@@ -28,7 +28,7 @@ from obstruction.tasks import (
     set_agreement_action,
 )
 
-from helpers import protocol_facet
+from helpers import inductive_waitfree_obstruction, protocol_facet
 
 
 TWO_OF_THREE = [{0, 1}, {1, 2}, {0, 2}]
@@ -221,10 +221,16 @@ def test_generated_formulas_agree_with_naive_evaluation():
             assert model.satisfies(facet, phi) == naive_satisfies(model, facet, phi)
 
 
+def test_waitfree_obstruction_is_the_inductive_formula():
+    for n in range(1, 5):
+        for k in range(1, n + 1):
+            assert waitfree_kset_obstruction(n, k) is inductive_waitfree_obstruction(n, k)
+
+
 def test_generalized_waitfree_matches_inductive_formula_semantically():
     initial = initial_model(2, [0, 1, 2])
     generalized = adversary_obstruction(2, waitfree(2))
-    inductive = waitfree_kset_obstruction(2, 2)
+    inductive = inductive_waitfree_obstruction(2, 2)
     models = [
         apply_action(initial, set_agreement_action(2, 1)),
         apply_action(initial, set_agreement_action(2, 2)),

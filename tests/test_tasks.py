@@ -12,6 +12,7 @@ from obstruction.complexes import (
 from obstruction.formulas import FALSE, render
 from obstruction.tasks import (
     ActionModel,
+    _view_action,
     action_from_json,
     action_to_json,
     apply_action,
@@ -33,7 +34,12 @@ from obstruction.tasks import (
     view_vectors,
 )
 
-from helpers import facet_with_values, protocol_facet
+from helpers import (
+    facet_with_values,
+    partition_view_vectors,
+    product_view_vectors,
+    protocol_facet,
+)
 
 
 # -- initial models ----------------------------------------------------------
@@ -170,6 +176,14 @@ def test_view_vectors_smallest_case():
     assert (frozenset({0}), frozenset({1})) not in vectors
 
 
+def test_view_vectors_match_product_then_filter_in_order():
+    cases = [(n, waitfree(n)) for n in range(4)]
+    cases.append((3, from_survivor_sets(3, [{0, 1}, {2, 3}])))
+    cases.append((2, from_survivor_sets(2, [{0, 1}, {1, 2}, {0, 2}])))
+    for n, adversary in cases:
+        assert view_vectors(n, adversary) == product_view_vectors(n, adversary)
+
+
 def test_view_vectors_require_survival():
     adv = from_survivor_sets(1, [{0, 1}])
     assert view_vectors(1, adv) == [(frozenset({0, 1}), frozenset({0, 1}))]
@@ -211,6 +225,25 @@ def test_snapshot_facets_are_exactly_the_immediate_round_facets():
             if is_immediate([seen_agents(f, a) for a in range(n + 1)])
         }
         assert set(snapshot.complex.facets) == immediate
+
+
+def test_snapshot_vectors_are_the_ordered_set_partition_vectors():
+    for n in range(1, 5):
+        immediate = [v for v in view_vectors(n, waitfree(n)) if is_immediate(v)]
+        direct = partition_view_vectors(n)
+        assert len(immediate) == len(direct)
+        assert set(immediate) == set(direct)
+        snapshot = immediate_snapshot_action(n, [0, 1])
+        assert snapshot.complex == _view_action(n, direct, [0, 1], "is").complex
+
+
+def test_wait_free_and_snapshot_counts_at_n4():
+    vectors = view_vectors(4, waitfree(4))
+    assert len(vectors) == 3451
+    immediate = [v for v in vectors if is_immediate(v)]
+    assert len(immediate) == len(ordered_set_partitions(range(5))) == 541
+    model = apply_action(initial_model(4, [0, 1]), immediate_snapshot_action(4, [0, 1]))
+    assert len(model.complex.facets) == 17_312
 
 
 def test_min_view_cases():
