@@ -56,10 +56,8 @@ from .tasks import (
     min_view,
     ordered_set_partitions,
     output_of,
-    product_update,
     round_operator_action,
     set_agreement_action,
-    uniform_product,
     view_of,
 )
 

@@ -190,13 +190,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_obstruct(args) -> int:
-    task, protocol = _product_models(args, args.task, args.protocol)
     if args.gen == "bc":
         phi = generators.binary_consensus_obstruction(args.n)
     elif args.gen.startswith("waitfree"):
         if ":" not in args.gen:
             raise UsageError("generator waitfree needs a bound: waitfree:K")
-        k = int(args.gen.split(":", 1)[1])
+        try:
+            k = int(args.gen.split(":", 1)[1])
+        except ValueError:
+            raise UsageError(f"bad agreement bound in {args.gen!r}")
         phi = generators.waitfree_kset_obstruction(args.n, k)
     elif args.gen == "adversary":
         source = args.adversary
@@ -209,6 +211,7 @@ def cmd_obstruct(args) -> int:
     else:
         raise UsageError(f"unknown generator {args.gen!r}")
 
+    task, protocol = _product_models(args, args.task, args.protocol)
     report = generators.verify_obstruction(task, protocol, phi)
     doc = generators.report_to_json(report)
     if args.format == "json":

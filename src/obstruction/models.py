@@ -52,6 +52,7 @@ class SimplicialModel:
         self._masks: dict[int, int] = {}
         self._atom_masks: dict[tuple[int, int], int] | None = None
         self._partitions: dict[tuple[str, frozenset[int]], list[int]] = {}
+        self._classes: dict[int, list[int]] = {}
         self._checked_agents: set[int] = set()
 
     @property
@@ -63,9 +64,6 @@ class SimplicialModel:
 
     def atoms_of(self, facet: Facet) -> frozenset:
         return self._atoms[self.complex.index(facet)]
-
-    def indistinguishable(self, facet: Facet, agent: int) -> tuple[Facet, ...]:
-        return tuple(self._block(facet, "dist", (agent,)))
 
     # -- satisfaction ------------------------------------------------------
 
@@ -111,6 +109,16 @@ class SimplicialModel:
         self._masks[phi.uid] = mask
         return mask
 
+    def _class_ids(self, agent: int) -> list[int]:
+        """Per facet id, the id of its `agent` vertex among that agent's vertices."""
+        classes = self._classes.get(agent)
+        if classes is None:
+            ids: dict[Vertex, int] = {}
+            classes = self._classes[agent] = [
+                ids.setdefault(f.vertices[agent], len(ids)) for f in self.complex.facets
+            ]
+        return classes
+
     def _blocks(self, kind: str, agents: frozenset[int]) -> list[int]:
         """The partition of facet ids, as masks, that `D[agents]` ("dist") or
         `C[agents]` ("common") quantifies over: facets sharing their vertex of
@@ -119,33 +127,28 @@ class SimplicialModel:
         blocks = self._partitions.get((kind, agents))
         if blocks is not None:
             return blocks
-        facets = self.complex.facets
-        order = sorted(agents)
-        masks: dict = {}
-        if kind == "dist" and not order:
-            masks[()] = self._all
-        elif kind == "dist":
-            share = operator.itemgetter(*order)
-            for i, facet in enumerate(facets):
-                key = share(facet.vertices)
-                masks[key] = masks.get(key, 0) | 1 << i
+        columns = [self._class_ids(a) for a in sorted(agents)]
+        size = len(self.complex.facets)
+        if kind == "dist":
+            keys = zip(*columns) if columns else [()] * size
         else:
-            parent = list(range(len(facets)))
+            parent = list(range(size))
 
             def root(i: int) -> int:
                 while parent[i] != i:
                     parent[i] = i = parent[parent[i]]
                 return i
 
-            for a in order:
-                first: dict[Vertex, int] = {}
-                for i, facet in enumerate(facets):
-                    j = first.setdefault(facet.vertices[a], i)
+            for classes in columns:
+                first: dict[int, int] = {}
+                for i, c in enumerate(classes):
+                    j = first.setdefault(c, i)
                     if j != i:
                         parent[root(i)] = root(j)
-            for i in range(len(facets)):
-                r = root(i)
-                masks[r] = masks.get(r, 0) | 1 << i
+            keys = map(root, range(size))
+        masks: dict = {}
+        for i, key in enumerate(keys):
+            masks[key] = masks.get(key, 0) | 1 << i
         blocks = self._partitions[(kind, agents)] = list(masks.values())
         return blocks
 
@@ -235,6 +238,26 @@ def induce_model(complex: ChromaticComplex, projection: str = "obs") -> Simplici
     return SimplicialModel(complex, tuple(atom_sets))
 
 
+def facet_images(
+    delta: dict[Vertex, Vertex],
+    source: ChromaticComplex,
+    target: ChromaticComplex,
+) -> list[int | None]:
+    """Per source facet, the id of the target facet `delta` maps it onto, or
+    None; facets compare as integer vertex ids, one lookup per source vertex."""
+    ids: dict[Vertex, int] = {}
+    by_ids = {
+        tuple([ids.setdefault(v, len(ids)) for v in f.vertices]): j
+        for j, f in enumerate(target.facets)
+    }
+    image: dict[Vertex, int | None] = {}
+    for f in source.facets:
+        for v in f.vertices:
+            if v not in image:
+                image[v] = ids.get(delta[v])
+    return [by_ids.get(tuple(map(image.__getitem__, f.vertices))) for f in source.facets]
+
+
 def morphism_violation(
     delta: dict[Vertex, Vertex],
     source: SimplicialModel,
@@ -247,11 +270,11 @@ def morphism_violation(
             return f"vertex {v.text()} is unmapped"
         if image.color != v.color:
             return f"vertex {v.text()} maps to color {image.color}"
-    for facet in source.complex.facets:
-        image = Facet(delta[v] for v in facet.vertices)
-        if image not in target.complex:
+    images = facet_images(delta, source.complex, target.complex)
+    for i, (facet, j) in enumerate(zip(source.complex.facets, images)):
+        if j is None:
             return f"facet {facet.text()} maps outside the target complex"
-        if target.atoms_of(image) != source.atoms_of(facet):
+        if target._atoms[j] != source._atoms[i]:
             return f"facet {facet.text()} changes its labeling"
     return None
 
@@ -263,10 +286,6 @@ def check_morphism(
 ) -> bool:
     """True when `delta` is color-preserving, simplicial, and label-preserving."""
     return morphism_violation(delta, source, target) is None
-
-
-def map_facet(delta: dict[Vertex, Vertex], facet: Facet) -> Facet:
-    return Facet(delta[v] for v in facet.vertices)
 
 
 def model_to_json(model: SimplicialModel) -> dict:

@@ -16,7 +16,7 @@ from enum import Enum
 
 from .complexes import Vertex, obs_key
 from .formulas import Formula, atom, and_, or_, not_, know, common, distributed, is_positive
-from .models import SimplicialModel, map_facet, morphism_violation
+from .models import SimplicialModel, _bits, facet_images, morphism_violation
 
 
 class Solvability(Enum):
@@ -165,14 +165,21 @@ def knowledge_gain_check(
     for phi in formulas:
         if not is_positive(phi):
             raise ValueError(f"formula is not positive: {phi}")
+        source._validate_agents(phi)
+        target._validate_agents(phi)
     problem = morphism_violation(delta, source, target)
     if problem is not None:
         raise ValueError(f"not a morphism: {problem}")
-    for facet in source.complex.facets:
-        image = map_facet(delta, facet)
-        for phi in formulas:
-            if target.satisfies(image, phi) and not source.satisfies(facet, phi):
-                return False
+    # preimages[j]: the source facets that delta maps onto target facet j.
+    preimages = [0] * len(target.complex.facets)
+    for i, j in enumerate(facet_images(delta, source.complex, target.complex)):
+        preimages[j] |= 1 << i
+    for phi in formulas:
+        pulled = 0
+        for j in _bits(target._mask(phi)):
+            pulled |= preimages[j]
+        if pulled & ~source._mask(phi):
+            return False
     return True
 
 

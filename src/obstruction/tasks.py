@@ -1,4 +1,4 @@
-"""Initial models, protocol and task action models, and product updates.
+"""Initial models, protocol and task action models, and the product update.
 
 Protocols and tasks are action models: complexes whose facets each carry a
 precondition formula. Applying an action to an initial model keeps exactly
@@ -34,17 +34,12 @@ from .models import SimplicialModel, induce_model
 
 @dataclass(frozen=True)
 class ActionModel:
-    """A complex of action points, each guarded by a precondition.
-
-    `pinned` is set on uniform models, mapping each action facet to the one
-    input facet its precondition singles out; it enables a direct product
-    construction that skips formula evaluation.
-    """
+    """A complex of action points, each guarded by a precondition; action
+    points with the same precondition share one interned formula object."""
 
     complex: ChromaticComplex
     pre: dict[Facet, Formula]
     name: str
-    pinned: dict[Facet, Facet] | None = None
 
     def __post_init__(self):
         missing = [f for f in self.complex.facets if f not in self.pre]
@@ -110,7 +105,7 @@ def _view_action(n: int, vectors, inputs: Iterable[int], name: str) -> ActionMod
     cells = [tuple(enumerate(vector)) for vector in vectors]
     distinct = {cell for vector in cells for cell in vector}
     vertex = vertex_table()
-    facets, pre, pinned = [], {}, {}
+    facets, pre = [], {}
     for x in initial_complex(n, inputs).facets:
         guard = pin_formula(x)
         at = {
@@ -121,8 +116,7 @@ def _view_action(n: int, vectors, inputs: Iterable[int], name: str) -> ActionMod
             facet = Facet(map(at.__getitem__, vector))
             facets.append(facet)
             pre[facet] = guard
-            pinned[facet] = x
-    return ActionModel(ChromaticComplex(n, facets), pre, name, pinned)
+    return ActionModel(ChromaticComplex(n, facets), pre, name)
 
 
 def view_vectors(n: int, adversary: Adversary) -> list[tuple[frozenset[int], ...]]:
@@ -210,60 +204,33 @@ def set_agreement_action(
 
 def decide_own_input_action(n: int, values: Iterable[int]) -> ActionModel:
     """The trivial task: every agent decides exactly its own input."""
-    agents = range(n + 1)
-    universe = sorted(set(values))
-    vertex = vertex_table()
-    facets, pre, pinned = [], {}, {}
-    for decisions in iter_product(universe, repeat=n + 1):
-        facet = Facet(vertex(a, decisions[a]) for a in agents)
-        facets.append(facet)
-        pre[facet] = and_(*(atom(a, decisions[a]) for a in agents))
-        # The decision facet doubles as the input facet it pins.
-        pinned[facet] = facet
-    return ActionModel(ChromaticComplex(n, facets), pre, "sa-trivial", pinned)
+    decisions = initial_complex(n, values)
+    pre = {facet: pin_formula(facet) for facet in decisions.facets}
+    return ActionModel(decisions, pre, "sa-trivial")
 
 
 # -- product update ----------------------------------------------------------
 
 
-def product_update(model: SimplicialModel, action: ActionModel) -> SimplicialModel:
-    """Keep the product facets whose input half satisfies the precondition."""
+def apply_action(model: SimplicialModel, action: ActionModel) -> SimplicialModel:
+    """The product update: keep each (input, action) facet pair whose input
+    satisfies the action's precondition, asking once per distinct precondition."""
     if model.complex.n != action.complex.n:
         raise ValueError("dimension mismatch between model and action")
+    groups: dict[Formula, list[Facet]] = {}
+    for y in action.complex.facets:
+        groups.setdefault(action.pre[y], []).append(y)
     vertex = vertex_table()
-    kept = []
-    for x in model.complex.facets:
-        for y in action.complex.facets:
-            if model.satisfies(x, action.pre[y]):
-                kept.append(product_facet(x, y, vertex))
+    kept = [
+        product_facet(x, y, vertex)
+        for x in model.complex.facets
+        for pre, ys in groups.items()
+        if model.satisfies(x, pre)
+        for y in ys
+    ]
     if not kept:
         raise ValueError("empty product update: preconditions exclude every pair")
     return induce_model(ChromaticComplex(model.complex.n, kept), "left")
-
-
-def uniform_product(model: SimplicialModel, action: ActionModel) -> SimplicialModel:
-    """Direct product for uniform actions, pairing each facet with its pinned input."""
-    if action.pinned is None:
-        raise ValueError(f"action {action.name!r} is not uniform")
-    if model.complex.n != action.complex.n:
-        raise ValueError("dimension mismatch between model and action")
-    vertex = vertex_table()
-    kept = []
-    for y in action.complex.facets:
-        x = action.pinned[y]
-        if x in model.complex:
-            kept.append(product_facet(x, y, vertex))
-    if not kept:
-        raise ValueError("empty product update: no pinned input facet present")
-    return induce_model(ChromaticComplex(model.complex.n, kept), "left")
-
-
-def apply_action(model: SimplicialModel, action: ActionModel) -> SimplicialModel:
-    return (
-        uniform_product(model, action)
-        if action.pinned is not None
-        else product_update(model, action)
-    )
 
 
 # -- facet accessors ---------------------------------------------------------

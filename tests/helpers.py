@@ -1,5 +1,6 @@
 """Shared test utilities: facet locators, an independent naive evaluator, the
-plain backtracking reference for the decision-map search, and the direct
+per-pair product update, point-form morphism and knowledge checks, the plain
+backtracking reference for the decision-map search, and the direct
 constructions that the package now derives from general builders (round view
 vectors by product-then-filter, immediate snapshot vectors from ordered set
 partitions, the inductive wait-free k-agreement obstruction)."""
@@ -7,10 +8,18 @@ partitions, the inductive wait-free k-agreement obstruction)."""
 from itertools import combinations, product as iter_product
 
 from obstruction.adversaries import Adversary
-from obstruction.complexes import Facet, Vertex, obs_key, project_left, shared_colors
+from obstruction.complexes import (
+    ChromaticComplex,
+    Facet,
+    Vertex,
+    obs_key,
+    product_facet,
+    project_left,
+    shared_colors,
+)
 from obstruction.formulas import Formula, atom, distributed, know, not_, or_
-from obstruction.models import SimplicialModel
-from obstruction.tasks import input_of, ordered_set_partitions, seen_agents
+from obstruction.models import SimplicialModel, induce_model
+from obstruction.tasks import ActionModel, input_of, ordered_set_partitions, seen_agents
 
 
 def facet_with_values(model: SimplicialModel, values) -> Facet:
@@ -84,6 +93,35 @@ def naive_satisfies(model: SimplicialModel, facet: Facet, phi) -> bool:
         raise AssertionError(kind)
 
     return ev(facet, phi)
+
+
+def map_facet(delta: dict[Vertex, Vertex], facet: Facet) -> Facet:
+    """The image of a facet under a vertex map, as a new facet."""
+    return Facet(delta[v] for v in facet.vertices)
+
+
+def naive_product_update(model: SimplicialModel, action: ActionModel) -> SimplicialModel:
+    """Reference for `tasks.apply_action`: one precondition query per
+    (input facet, action facet) pair, keeping the pairs that pass."""
+    kept = [
+        product_facet(x, y)
+        for x in model.complex.facets
+        for y in action.complex.facets
+        if naive_satisfies(model, x, action.pre[y])
+    ]
+    return induce_model(ChromaticComplex(model.complex.n, kept), "left")
+
+
+def naive_knowledge_gain(delta, source: SimplicialModel, target: SimplicialModel, formulas) -> bool:
+    """Reference for `solver.knowledge_gain_check` on a morphism: every
+    positive formula true at a facet's image is true at the facet, checked
+    point by point with `naive_satisfies` on mapped facets."""
+    return all(
+        naive_satisfies(source, facet, phi)
+        for facet in source.complex.facets
+        for phi in formulas
+        if naive_satisfies(target, map_facet(delta, facet), phi)
+    )
 
 
 def naive_find_morphism(protocol: SimplicialModel, task: SimplicialModel, budget: int):

@@ -17,7 +17,7 @@ from obstruction.generators import (
     greatest_fixed_subset,
     verify_obstruction,
 )
-from obstruction.models import check_morphism, map_facet
+from obstruction.models import check_morphism
 from obstruction.solver import (
     Solvability,
     find_morphism,
@@ -39,7 +39,7 @@ from obstruction.tasks import (
 )
 
 from conftest import build_demo_model
-from helpers import facet_with_values, protocol_facet
+from helpers import facet_with_values, map_facet, protocol_facet
 
 
 class timer:

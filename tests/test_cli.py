@@ -185,6 +185,19 @@ def test_obstruct_unknown_generator(capsys):
     assert "unknown generator" in err
 
 
+def test_obstruct_bad_generator_bound_builds_no_model(capsys, monkeypatch):
+    def no_build(*_):
+        raise AssertionError("a model was built before the generator was resolved")
+
+    monkeypatch.setattr("obstruction.tasks.apply_action", no_build)
+    code, out, err = run(
+        capsys, "obstruct", "I[sa:1]", "round:waitfree", "--gen", "waitfree:x", "--n", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad agreement bound in 'waitfree:x'\n"
+
+
 def test_solve_trivial_task(tmp_path, capsys):
     out = tmp_path / "witness.json"
     code, stdout, _ = run(

@@ -20,7 +20,6 @@ from obstruction.models import (
     check_morphism,
     complex_to_dot,
     induce_model,
-    map_facet,
     model_from_json,
     model_to_json,
     morphism_violation,
@@ -28,7 +27,7 @@ from obstruction.models import (
 from obstruction.solver import random_positive_formula
 from obstruction.tasks import apply_action, binary_consensus_action, initial_model
 
-from helpers import facet_with_values, naive_satisfies
+from helpers import facet_with_values, map_facet, naive_satisfies
 
 
 def someone_has(value):
@@ -301,6 +300,24 @@ def test_color_change_is_not_a_morphism():
     v0, v1 = Vertex(0, 0), Vertex(0, 1)
     delta = {v0: Vertex(1, 0), v1: v1}
     assert "color" in morphism_violation(delta, model, model)
+
+
+def test_facet_image_outside_the_target_is_not_a_morphism():
+    model = initial_model(1, [0, 1])
+    diagonal = induce_model(
+        ChromaticComplex(1, [f for f in model.complex.facets if f.obs(0) == f.obs(1)])
+    )
+    identity = {v: v for v in model.complex.vertices()}
+    # Every vertex has an image in the target; the facet 0:0 1:1 does not.
+    assert morphism_violation(identity, model, diagonal) == (
+        "facet 0:0 1:1 maps outside the target complex"
+    )
+    # An image vertex the target lacks puts the first facet outside it.
+    stray = dict(identity)
+    stray[Vertex(1, 0)] = Vertex(1, 5)
+    assert morphism_violation(stray, model, model) == (
+        "facet 0:0 1:0 maps outside the target complex"
+    )
 
 
 def test_morphism_commutes_with_intersection(demo_model):

@@ -6,7 +6,7 @@ from obstruction.adversaries import from_survivor_sets, waitfree
 from obstruction.complexes import Vertex, project_left
 from obstruction.formulas import atom, is_positive, know, not_
 from obstruction.generators import binary_consensus_obstruction, verify_obstruction
-from obstruction.models import check_morphism, map_facet
+from obstruction.models import SimplicialModel, check_morphism
 from obstruction.solver import (
     Solvability,
     find_morphism,
@@ -24,7 +24,7 @@ from obstruction.tasks import (
     set_agreement_action,
 )
 
-from helpers import naive_find_morphism
+from helpers import map_facet, naive_find_morphism, naive_knowledge_gain
 
 
 def snapshot_protocol(n=1, inputs=(0, 1)):
@@ -214,6 +214,43 @@ def test_knowledge_gain_rejects_corrupted_map(demo_model):
     broken = {v: Vertex(v.color, 9) for v in demo_model.complex.vertices()}
     with pytest.raises(ValueError, match="not a morphism"):
         knowledge_gain_check(broken, demo_model, demo_model, [atom(0, 2)])
+
+
+def test_knowledge_gain_rejects_out_of_range_agents(demo_model):
+    identity = {v: v for v in demo_model.complex.vertices()}
+    with pytest.raises(ValueError, match="outside this model's range"):
+        knowledge_gain_check(identity, demo_model, demo_model, [know(5, atom(0, 2))])
+
+
+@pytest.mark.parametrize("name", ["is-vs-trivial", "is-vs-itself"])
+def test_knowledge_gain_matches_point_form_reference(name):
+    protocol, task = reference_instances()[name]
+    witness = find_morphism(protocol, task).witness
+    rng = random.Random(7)
+    formulas = [
+        random_positive_formula(rng, range(protocol.n + 1), [0, 1], depth=3)
+        for _ in range(100)
+    ]
+    for phi in formulas:
+        expected = naive_knowledge_gain(witness, protocol, task, [phi])
+        assert knowledge_gain_check(witness, protocol, task, [phi]) is expected, phi
+    assert knowledge_gain_check(witness, protocol, task, formulas)
+
+
+def test_solution_violation_reports_a_changed_input():
+    protocol, task = snapshot_protocol(), trivial_task()
+    # With no atoms, labeling cannot see inputs, so only the input check can.
+    blank = [
+        SimplicialModel(m.complex, tuple(frozenset() for _ in m.complex.facets))
+        for m in (protocol, task)
+    ]
+    flip = {
+        v: Vertex(v.color, (1 - v.obs[0], 1 - v.obs[0]))
+        for v in protocol.complex.vertices()
+    }
+    assert check_morphism(flip, *blank)
+    problem = solution_violation(flip, *blank)
+    assert problem.endswith("changes its input component"), problem
 
 
 def test_random_positive_formulas_are_deterministic():

@@ -25,17 +25,16 @@ from obstruction.tasks import (
     min_view,
     ordered_set_partitions,
     output_of,
-    product_update,
     round_operator_action,
     seen_agents,
     set_agreement_action,
-    uniform_product,
     view_of,
     view_vectors,
 )
 
 from helpers import (
     facet_with_values,
+    naive_product_update,
     partition_view_vectors,
     product_view_vectors,
     protocol_facet,
@@ -266,22 +265,43 @@ def test_min_view_subsumes_a_survivor_set():
 # -- products ------------------------------------------------------------------
 
 
-def test_uniform_product_matches_generic():
-    cases = [
-        (initial_model(1, [0, 1]), immediate_snapshot_action(1, [0, 1])),
-        (initial_model(2, [0, 1]), immediate_snapshot_action(2, [0, 1])),
-        (initial_model(1, [0, 1]), round_operator_action(1, waitfree(1), [0, 1])),
-        (initial_model(2, [0, 1, 2]), round_operator_action(2, waitfree(2))),
-        (initial_model(1, [0, 1]), decide_own_input_action(1, [0, 1])),
-    ]
-    for model, action in cases:
-        assert uniform_product(model, action).complex == product_update(model, action).complex
+def _imported_is_action():
+    return action_from_json(action_to_json(immediate_snapshot_action(1, [0, 1])))
+
+
+PRODUCT_CASES = {
+    "is-n1": (1, [0, 1], lambda: immediate_snapshot_action(1, [0, 1])),
+    "is-n2": (2, [0, 1], lambda: immediate_snapshot_action(2, [0, 1])),
+    "round-n1": (1, [0, 1], lambda: round_operator_action(1, waitfree(1), [0, 1])),
+    "round-n2": (2, [0, 1, 2], lambda: round_operator_action(2, waitfree(2))),
+    "two-of-three-n2": (
+        2,
+        [0, 1, 2],
+        lambda: round_operator_action(2, from_survivor_sets(2, [{0, 1}, {1, 2}, {0, 2}])),
+    ),
+    "bc-n1": (1, [0, 1], lambda: binary_consensus_action(1)),
+    "bc-n2": (2, [0, 1], lambda: binary_consensus_action(2)),
+    "sa1-n2": (2, [0, 1, 2], lambda: set_agreement_action(2, 1)),
+    "sa2-n2": (2, [0, 1, 2], lambda: set_agreement_action(2, 2)),
+    "sa-trivial-n1": (1, [0, 1], lambda: decide_own_input_action(1, [0, 1])),
+    "imported-is-n1": (1, [0, 1], _imported_is_action),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
+def test_product_matches_per_pair_reference(name):
+    n, inputs, build = PRODUCT_CASES[name]
+    model, action = initial_model(n, inputs), build()
+    product = apply_action(model, action)
+    expected = naive_product_update(model, action)
+    assert product.complex == expected.complex
+    assert product._atoms == expected._atoms
 
 
 def test_uniform_product_one_facet_per_action_point():
     model = initial_model(1, [0, 1])
     action = immediate_snapshot_action(1, [0, 1])
-    product = uniform_product(model, action)
+    product = apply_action(model, action)
     assert len(product.complex.facets) == len(action.complex.facets)
     rights = {project_right(f) for f in product.complex.facets}
     assert rights == set(action.complex.facets)
@@ -296,7 +316,7 @@ def test_product_models_are_pure_of_same_dimension():
 
 def test_product_update_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
-        product_update(initial_model(1, [0, 1]), binary_consensus_action(2))
+        apply_action(initial_model(1, [0, 1]), binary_consensus_action(2))
 
 
 def test_empty_product_update_rejected():
@@ -305,12 +325,7 @@ def test_empty_product_update_rejected():
         action.complex, {f: FALSE for f in action.complex.facets}, "never"
     )
     with pytest.raises(ValueError, match="empty product"):
-        product_update(initial_model(1, [0, 1]), doomed)
-
-
-def test_uniform_product_requires_pinned_action():
-    with pytest.raises(ValueError, match="not uniform"):
-        uniform_product(initial_model(1, [0, 1]), binary_consensus_action(1))
+        apply_action(initial_model(1, [0, 1]), doomed)
 
 
 def test_trivial_task_pairs_each_input_with_itself():
@@ -395,13 +410,6 @@ def test_action_json_requires_preconditions():
     del doc["pre"]
     with pytest.raises(ValueError, match="preconditions"):
         action_from_json(doc)
-
-
-def test_imported_action_products_match():
-    model = initial_model(1, [0, 1])
-    action = immediate_snapshot_action(1, [0, 1])
-    imported = action_from_json(action_to_json(action))
-    assert product_update(model, imported).complex == uniform_product(model, action).complex
 
 
 # -- vertex sharing ------------------------------------------------------------
