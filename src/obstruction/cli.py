@@ -15,6 +15,7 @@ import random
 import sys
 
 from . import adversaries, generators, models, solver, tasks
+from .complexes import facet_texts
 from .formulas import ParseError, parse, render
 
 
@@ -114,32 +115,84 @@ def _product_models(args, first: str, second: str) -> list[models.SimplicialMode
     return [_product_model(spec, args.n, inputs, args) for spec in (first, second)]
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces: list[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _dump(doc) -> list[str]:
+    """The text of `json.dumps(doc, indent=2) + "\n"`, byte for byte, as pieces.
+
+    Scalars and keys go through the C encoder; dict keys must be strings
+    (others raise TypeError). A container met again at a depth where it was
+    written before reuses that text, so entries the facets share are encoded
+    once per depth. `id` keys are stable because `doc` lives through the call.
+    """
+    pieces: list[str] = []
+    # (id, depth) -> the span of `pieces` it first wrote, or its joined text.
+    written: dict[tuple[int, int], tuple[int, int] | str] = {}
+
+    def write(obj, depth: int) -> None:
+        is_dict = isinstance(obj, dict)
+        if not (is_dict or isinstance(obj, (list, tuple))):
+            pieces.append(json.dumps(obj))
+            return
+        if not obj:
+            pieces.append("{}" if is_dict else "[]")
+            return
+        key = (id(obj), depth)
+        seen = written.get(key)
+        if seen is not None:
+            if not isinstance(seen, str):
+                seen = written[key] = "".join(pieces[seen[0]:seen[1]])
+            pieces.append(seen)
+            return
+        start = len(pieces)
+        indent = "  " * depth
+        sep = ",\n  " + indent
+        lead = ("{" if is_dict else "[") + sep[1:]
+        if is_dict:
+            for name, value in obj.items():
+                if not isinstance(name, str):
+                    raise TypeError(f"keys must be str, not {type(name).__name__}")
+                pieces.append(f"{lead}{json.dumps(name)}: ")
+                lead = sep
+                write(value, depth + 1)
+            pieces.append(f"\n{indent}}}")
+        else:
+            for value in obj:
+                pieces.append(lead)
+                lead = sep
+                write(value, depth + 1)
+            pieces.append(f"\n{indent}]")
+        written[key] = (start, len(pieces))
+
+    write(doc, 0)
+    pieces.append("\n")
+    return pieces
 
 
 def _model_text(model: models.SimplicialModel) -> str:
-    lines = [f"n={model.complex.n} facets={len(model.complex.facets)}"]
-    for i, facet in enumerate(model.complex.facets):
-        atoms = " ".join(
-            f"input({a},{v})" for a, v in sorted(model.atoms_of(facet))
-        )
-        lines.append(f"f{i}: {facet.text()}  [{atoms}]")
+    c = model.complex
+    lines = [f"n={c.n} facets={len(c.facets)}"]
+    atom_sets = [model.atoms_of(facet) for facet in c.facets]
+    atom_texts = {
+        atoms: " ".join(f"input({a},{v})" for a, v in sorted(atoms))
+        for atoms in set(atom_sets)
+    }
+    for i, (text, atoms) in enumerate(zip(facet_texts(c), atom_sets)):
+        lines.append(f"f{i}: {text}  [{atom_texts[atoms]}]")
     return "\n".join(lines) + "\n"
 
 
 def _action_text(action: tasks.ActionModel) -> str:
-    lines = [f"n={action.complex.n} name={action.name} facets={len(action.complex.facets)}"]
-    for i, facet in enumerate(action.complex.facets):
-        lines.append(f"f{i}: {facet.text()}  pre: {render(action.pre[facet])}")
+    c = action.complex
+    lines = [f"n={c.n} name={action.name} facets={len(c.facets)}"]
+    for i, (facet, text) in enumerate(zip(c.facets, facet_texts(c))):
+        lines.append(f"f{i}: {text}  pre: {render(action.pre[facet])}")
     return "\n".join(lines) + "\n"
 
 
@@ -150,9 +203,9 @@ def _write_built(built, fmt: str, out: str | None) -> None:
         doc = models.model_to_json(built) if is_model else tasks.action_to_json(built)
         _emit(_dump(doc), out)
     elif fmt == "dot":
-        _emit(models.complex_to_dot(built.complex), out)
+        _emit([models.complex_to_dot(built.complex)], out)
     else:
-        _emit(_model_text(built) if is_model else _action_text(built), out)
+        _emit([_model_text(built) if is_model else _action_text(built)], out)
 
 
 def cmd_build(args) -> int:
@@ -185,7 +238,7 @@ def cmd_check(args) -> int:
         }
         _emit(_dump(doc), args.out)
     else:
-        _emit(models.verdict_text(verdict) + "\n", args.out)
+        _emit([models.verdict_text(verdict) + "\n"], args.out)
     return 0 if verdict.is_valid else 1
 
 
@@ -224,7 +277,7 @@ def cmd_obstruct(args) -> int:
             f"protocol counterexamples: {doc['protocol_counterexamples']}",
             f"obstruction: {doc['is_obstruction']}",
         ]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return 0 if report.is_obstruction else 1
 
 

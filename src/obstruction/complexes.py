@@ -235,6 +235,12 @@ def shared_colors(x: Facet, y: Facet) -> frozenset[int]:
     return frozenset(v.color for v in x.vertices if v in other)
 
 
+def facet_texts(c: ChromaticComplex) -> list[str]:
+    """`Facet.text()` of every facet in order, rendering each distinct vertex once."""
+    texts = {v: v.text() for v in c.vertices()}
+    return [" ".join([texts[v] for v in f.vertices]) for f in c.facets]
+
+
 def cartesian_product(c: ChromaticComplex, d: ChromaticComplex) -> ChromaticComplex:
     """Componentwise product: each vertex pairs the two observations of a color."""
     if c.n != d.n:
@@ -291,12 +297,13 @@ def left_of(v: Vertex) -> Vertex:
 
 
 def complex_to_json(c: ChromaticComplex) -> dict:
+    """The complex as a JSON document with one `{"color", "obs"}` entry per
+    distinct vertex. The facets holding a vertex share its entry object, so
+    callers must not mutate an entry in place."""
+    entries = {v: {"color": v.color, "obs": obs_to_json(v.obs)} for v in c.vertices()}
     return {
         "n": c.n,
-        "facets": [
-            {"vertices": [{"color": v.color, "obs": obs_to_json(v.obs)} for v in f.vertices]}
-            for f in c.facets
-        ],
+        "facets": [{"vertices": [entries[v] for v in f.vertices]} for f in c.facets],
     }
 
 
@@ -320,15 +327,22 @@ def complex_from_json(data: dict) -> ChromaticComplex:
     n = _json_field(data, "n", int, "complex document")
     raw_facets = _json_field(data, "facets", list, "complex document")
     vertex = vertex_table()
-    facets = []
-    for entry in raw_facets:
-        facets.append(
-            Facet(
-                vertex(
-                    _json_field(v, "color", int, "vertex entry"),
-                    obs_from_json(_json_field(v, "obs", None, "vertex entry")),
-                )
-                for v in _json_field(entry, "vertices", list, "facet entry")
-            )
-        )
+    # Each distinct raw entry is decoded once. `repr` keeps apart raw values
+    # that compare equal but are different JSON (1, 1.0 and true); the fields
+    # are still checked on every entry.
+    decoded: dict[tuple[int, str], Vertex] = {}
+
+    def entry_vertex(v) -> Vertex:
+        color = _json_field(v, "color", int, "vertex entry")
+        raw = _json_field(v, "obs", None, "vertex entry")
+        key = (color, repr(raw))
+        found = decoded.get(key)
+        if found is None:
+            found = decoded[key] = vertex(color, obs_from_json(raw))
+        return found
+
+    facets = [
+        Facet(map(entry_vertex, _json_field(entry, "vertices", list, "facet entry")))
+        for entry in raw_facets
+    ]
     return ChromaticComplex(n, facets)

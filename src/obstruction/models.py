@@ -17,6 +17,7 @@ from .complexes import (
     Vertex,
     complex_from_json,
     complex_to_json,
+    facet_texts,
     shared_colors,
 )
 from .formulas import Formula, agents_of
@@ -258,25 +259,35 @@ def facet_images(
     return [by_ids.get(tuple(map(image.__getitem__, f.vertices))) for f in source.facets]
 
 
+def _morphism_images(
+    delta: dict[Vertex, Vertex],
+    source: SimplicialModel,
+    target: SimplicialModel,
+) -> tuple[str | None, list[int | None]]:
+    """`morphism_violation`'s answer, with the facet images it checked (none
+    when a vertex fails first)."""
+    for v in sorted(source.complex.vertices(), key=Vertex.key):
+        image = delta.get(v)
+        if image is None:
+            return f"vertex {v.text()} is unmapped", []
+        if image.color != v.color:
+            return f"vertex {v.text()} maps to color {image.color}", []
+    images = facet_images(delta, source.complex, target.complex)
+    for i, (facet, j) in enumerate(zip(source.complex.facets, images)):
+        if j is None:
+            return f"facet {facet.text()} maps outside the target complex", images
+        if target._atoms[j] != source._atoms[i]:
+            return f"facet {facet.text()} changes its labeling", images
+    return None, images
+
+
 def morphism_violation(
     delta: dict[Vertex, Vertex],
     source: SimplicialModel,
     target: SimplicialModel,
 ) -> str | None:
     """First reason `delta` fails to be a label-preserving simplicial map."""
-    for v in sorted(source.complex.vertices(), key=Vertex.key):
-        image = delta.get(v)
-        if image is None:
-            return f"vertex {v.text()} is unmapped"
-        if image.color != v.color:
-            return f"vertex {v.text()} maps to color {image.color}"
-    images = facet_images(delta, source.complex, target.complex)
-    for i, (facet, j) in enumerate(zip(source.complex.facets, images)):
-        if j is None:
-            return f"facet {facet.text()} maps outside the target complex"
-        if target._atoms[j] != source._atoms[i]:
-            return f"facet {facet.text()} changes its labeling"
-    return None
+    return _morphism_images(delta, source, target)[0]
 
 
 def check_morphism(
@@ -289,10 +300,11 @@ def check_morphism(
 
 
 def model_to_json(model: SimplicialModel) -> dict:
+    """`complex_to_json` plus each facet's sorted atoms; facets with the same
+    atom set share one list."""
     doc = complex_to_json(model.complex)
-    doc["atoms"] = [
-        sorted(model._atoms[i]) for i in range(len(model.complex.facets))
-    ]
+    lists = {atoms: sorted(atoms) for atoms in set(model._atoms)}
+    doc["atoms"] = [lists[atoms] for atoms in model._atoms]
     return doc
 
 
@@ -327,8 +339,8 @@ def complex_to_dot(complex: ChromaticComplex, name: str = "model") -> str:
     """Graphviz rendering of the adjacency graph, edges labeled by shared agents."""
     lines = [f"graph {name} {{", "  node [shape=box];"]
     facets = complex.facets
-    for i, facet in enumerate(facets):
-        lines.append(f'  f{i} [label="{facet.text()}"];')
+    for i, text in enumerate(facet_texts(complex)):
+        lines.append(f'  f{i} [label="{text}"];')
     for i in range(len(facets)):
         for j in range(i + 1, len(facets)):
             agents = sorted(shared_colors(facets[i], facets[j]))

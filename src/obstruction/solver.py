@@ -16,7 +16,7 @@ from enum import Enum
 
 from .complexes import Vertex, obs_key
 from .formulas import Formula, atom, and_, or_, not_, know, common, distributed, is_positive
-from .models import SimplicialModel, _bits, facet_images, morphism_violation
+from .models import SimplicialModel, _bits, _morphism_images, morphism_violation
 
 
 class Solvability(Enum):
@@ -167,12 +167,12 @@ def knowledge_gain_check(
             raise ValueError(f"formula is not positive: {phi}")
         source._validate_agents(phi)
         target._validate_agents(phi)
-    problem = morphism_violation(delta, source, target)
+    problem, images = _morphism_images(delta, source, target)
     if problem is not None:
         raise ValueError(f"not a morphism: {problem}")
     # preimages[j]: the source facets that delta maps onto target facet j.
     preimages = [0] * len(target.complex.facets)
-    for i, j in enumerate(facet_images(delta, source.complex, target.complex)):
+    for i, j in enumerate(images):
         preimages[j] |= 1 << i
     for phi in formulas:
         pulled = 0

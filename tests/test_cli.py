@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from obstruction import cli
 from obstruction.cli import main
 from obstruction.models import model_to_json
 
@@ -342,3 +344,78 @@ def test_solve_beyond_the_recursion_limit(tmp_path, capsys):
     )
     assert code == 0
     assert out.startswith("status: solvable\nexplored: 1856\n")
+
+
+# -- the JSON writer -----------------------------------------------------------
+
+
+def json_dumps_text(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv,out_name",
+    [
+        (["build", "I[is]", "--n", "1"], None),
+        (["build", "I[is]", "--n", "2", "--out", "{d}/is2.json"], "is2.json"),
+        (["build", "I[round:waitfree]", "--n", "2"], None),
+        (["build", "is", "--n", "2"], None),
+        (["build", "sa:1", "--n", "2", "--out", "{d}/sa1.json"], "sa1.json"),
+        (["build", "round:waitfree", "--n", "2"], None),
+        (["obstruct", "I[bc]", "I[is]", "--gen", "bc", "--n", "2"], None),
+        (["check", "{d}/model.json", "--format", "json", "--formula", "K[0] input(0,0)"], None),
+        (["solve", "I[is]", "I[sa-trivial]", "--n", "2", "--out", "{d}/witness.json"], "witness.json"),
+    ],
+    ids=[
+        "model-is1", "model-is2", "model-waitfree2", "action-is", "action-sa1",
+        "action-waitfree", "obstruction-report", "check-json", "solve-witness",
+    ],
+)
+def test_writer_matches_json_dumps_on_cli_documents(tmp_path, capsys, monkeypatch, argv, out_name):
+    write_demo_model(tmp_path / "model.json")
+    docs = []
+    dump = cli._dump
+    monkeypatch.setattr(cli, "_dump", lambda doc: docs.append(doc) or dump(doc))
+    code, stdout, _ = run(capsys, *[arg.replace("{d}", str(tmp_path)) for arg in argv])
+    assert code in (0, 1)
+    [doc] = docs
+    written = (tmp_path / out_name).read_text() if out_name else stdout
+    assert written == "".join(dump(doc)) == json_dumps_text(doc)
+
+
+scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+containers = st.recursive(
+    st.lists(scalars, max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(doc=json_values, shared=containers)
+@example(doc='quote " backslash \\ newline \n tab \t héllo → \U0001F600', shared={"é": ["\"", "\n"]})
+@example(doc=[1, -2.5, 1e300, float("inf"), True, False, None, {}, [], ()], shared=[{}, []])
+def test_writer_matches_json_dumps(doc, shared):
+    # `shared` is one object met at two depths and twice at the same depth.
+    wrapped = {
+        "doc": doc,
+        "shared": shared,
+        "nested": [shared, {"again": shared}, (shared,)],
+        "empty": [{}, [], ()],
+    }
+    for value in (doc, wrapped):
+        assert "".join(cli._dump(value)) == json_dumps_text(value)
+
+
+@pytest.mark.parametrize("doc", [{1: "a"}, {"a": [{None: 0}]}, {"a": {(1, 2): 0}}])
+def test_writer_rejects_non_string_keys(doc):
+    # json.dumps would write 1 and None as the strings "1" and "null"; the
+    # CLI's documents only have string keys, so the writer refuses others.
+    with pytest.raises(TypeError, match="keys must be str"):
+        cli._dump(doc)

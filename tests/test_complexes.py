@@ -17,6 +17,7 @@ from obstruction.complexes import (
     project_right,
     shared_colors,
 )
+from obstruction.cli import main
 from obstruction.tasks import binary_consensus_action, initial_complex
 
 from helpers import facet_with_values
@@ -147,6 +148,55 @@ def test_complex_json_round_trip(demo_model):
     again = complex_from_json(doc)
     assert again == demo_model.complex
     assert complex_to_json(again) == doc
+
+
+def test_decoder_makes_one_vertex_per_distinct_vertex():
+    # Color 0's view is spelled in two entry orders; color 1's value 5 and
+    # color 0's plain 7 repeat across facets.
+    doc = {
+        "n": 1,
+        "facets": [
+            {"vertices": [{"color": 0, "obs": [[0, 1], [1, 0]]}, {"color": 1, "obs": 5}]},
+            {"vertices": [{"color": 0, "obs": [[1, 0], [0, 1]]}, {"color": 1, "obs": 6}]},
+            {"vertices": [{"color": 0, "obs": 7}, {"color": 1, "obs": 5}]},
+            {"vertices": [{"color": 0, "obs": 7}, {"color": 1, "obs": 6}]},
+        ],
+    }
+    c = complex_from_json(doc)
+    assert len(c.facets) == 4
+    occurrences = [v for f in c.facets for v in f.vertices]
+    assert len({id(v) for v in occurrences}) == len(c.vertices()) == 4
+    first, second = [v for v in occurrences if v == Vertex(0, frozenset({(0, 1), (1, 0)}))]
+    assert first is second
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ({"color": True, "obs": 1}, "malformed vertex entry: 'color' must be of type int, got bool"),
+        ({"color": 0.0, "obs": 1}, "malformed vertex entry: 'color' must be of type int, got float"),
+        ({"color": 0, "obs": True}, "not an observation: True"),
+        ({"color": 0, "obs": 1.0}, "not an observation: 1.0"),
+        ({"color": 0}, "malformed vertex entry: missing 'obs'"),
+    ],
+    ids=["bool-color", "float-color", "bool-obs", "float-obs", "missing-obs"],
+)
+def test_decoder_checks_entries_equal_to_a_decoded_one(bad, message):
+    # Each bad entry compares equal to (or lacks a field of) the well-formed
+    # entry before it, whose decoding is already remembered.
+    good = {"color": 0, "obs": 1}
+    doc = {"n": 0, "facets": [{"vertices": [good]}, {"vertices": [bad]}]}
+    with pytest.raises(ValueError) as err:
+        complex_from_json(doc)
+    assert str(err.value) == message
+
+
+def test_waitfree_model_export_is_byte_identical(tmp_path, capsys):
+    built, again = tmp_path / "wf2.json", tmp_path / "wf2b.json"
+    assert main(["build", "I[round:waitfree]", "--n", "2", "--out", str(built)]) == 0
+    assert main(["export", str(built), "--format", "json", "--out", str(again)]) == 0
+    assert capsys.readouterr().out == ""
+    assert again.read_bytes() == built.read_bytes()
 
 
 def test_view_and_pair_observations_round_trip():
