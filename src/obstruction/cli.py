@@ -19,11 +19,17 @@ from .complexes import facet_texts
 from .formulas import ParseError, parse, render
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _int_at_least(low: int, what: str):
+    """An argparse type for integers of at least `low`, `what` naming them."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
 
 
 def _inputs_arg(text: str) -> tuple[int, ...]:
@@ -300,8 +306,7 @@ def cmd_solve(args) -> int:
         if args.out:
             doc = {
                 "map": {
-                    v.text(): image.text()
-                    for v, image in sorted(result.witness.items(), key=lambda kv: kv[0].key())
+                    v.text(): result.witness[v].text() for v in protocol.complex.vertices()
                 },
                 "explored": result.explored,
                 "transcript": {
@@ -338,7 +343,10 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common_flags(p):
-        p.add_argument("--n", type=int, required=True, help="dimension: agents are 0..n")
+        p.add_argument(
+            "--n", type=_int_at_least(0, "nonnegative"), required=True,
+            help="dimension: agents are 0..n",
+        )
         p.add_argument("--inputs", type=_inputs_arg, default=None, help="comma-separated input values")
         p.add_argument("--k", type=int, default=None, help="agreement bound for bare 'sa' specs")
         p.add_argument("--adversary", default=None, help="adversary file, or 'waitfree'")
@@ -369,7 +377,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("protocol")
     p_solve.add_argument("task")
     common_flags(p_solve)
-    p_solve.add_argument("--budget", type=_positive_int, default=10_000_000)
+    p_solve.add_argument("--budget", type=_int_at_least(1, "positive"), default=10_000_000)
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.set_defaults(func=cmd_solve)
 

@@ -169,10 +169,12 @@ class ChromaticComplex:
     """A pure chromatic complex of dimension n, stored by its facets.
 
     Facets are deduplicated and kept in canonical `Facet.key` order, so
-    indices are stable identifiers for export and reporting.
+    indices are stable identifiers for export and reporting. The distinct
+    vertices are kept in `Vertex.key` order, and `vertex_id` maps each to its
+    position there.
     """
 
-    __slots__ = ("n", "facets", "_pos")
+    __slots__ = ("n", "facets", "vertex_id", "_vertices", "_pos")
 
     def __init__(self, n: int, facets: Iterable[Facet]):
         if n < 0:
@@ -198,10 +200,13 @@ class ChromaticComplex:
             )
         self.n = n
         self.facets: tuple[Facet, ...] = tuple(canon)
+        self.vertex_id: dict[Vertex, int] = rank
+        self._vertices = tuple(vertices)
         self._pos = {f: i for i, f in enumerate(self.facets)}
 
-    def vertices(self) -> frozenset[Vertex]:
-        return frozenset(v for f in self.facets for v in f.vertices)
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The distinct vertices in `Vertex.key` order, numbered by `vertex_id`."""
+        return self._vertices
 
     def index(self, facet: Facet) -> int:
         try:

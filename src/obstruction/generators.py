@@ -78,17 +78,15 @@ class ObstructionFamily:
     cases: dict
 
 
-def adversary_obstruction_family(
-    n: int, adversary: Adversary, prune: bool = True
-) -> ObstructionFamily:
+def adversary_obstruction_family(n: int, adversary: Adversary) -> ObstructionFamily:
     """Build the agreement obstruction for an adversary, by inverse inclusion.
 
     `cases[A]` says: outside A someone missed the diagonal, or someone
     outside A knows a value of A was input, or a strictly larger group
     already carries its own case distributedly. `guarded[A]` wraps the case
     in distributed knowledge of A, or collapses to false when the processes
-    outside A cannot all survive. With `prune`, false branches are dropped
-    from disjunctions before emission.
+    outside A cannot all survive. False branches are dropped from
+    disjunctions before emission.
     """
     if adversary.n != n:
         raise ValueError("adversary dimension mismatch")
@@ -103,9 +101,7 @@ def adversary_obstruction_family(
     cases: dict[frozenset[int], Formula] = {}
 
     def disj(parts: list[Formula]) -> Formula:
-        if prune:
-            parts = [p for p in parts if p is not FALSE]
-        return or_(*parts)
+        return or_(*[p for p in parts if p is not FALSE])
 
     def build(group: frozenset[int]) -> None:
         rest = sorted(everyone - group)
@@ -132,8 +128,8 @@ def adversary_obstruction_family(
     return ObstructionFamily(phi, guarded, cases)
 
 
-def adversary_obstruction(n: int, adversary: Adversary, prune: bool = True) -> Formula:
-    return adversary_obstruction_family(n, adversary, prune).phi
+def adversary_obstruction(n: int, adversary: Adversary) -> Formula:
+    return adversary_obstruction_family(n, adversary).phi
 
 
 def waitfree_kset_obstruction(n: int, k: int) -> Formula:

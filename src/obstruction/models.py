@@ -111,20 +111,19 @@ class SimplicialModel:
         return mask
 
     def _class_ids(self, agent: int) -> list[int]:
-        """Per facet id, the id of its `agent` vertex among that agent's vertices."""
+        """Per facet id, the complex's `vertex_id` of its `agent` vertex."""
         classes = self._classes.get(agent)
         if classes is None:
-            ids: dict[Vertex, int] = {}
-            classes = self._classes[agent] = [
-                ids.setdefault(f.vertices[agent], len(ids)) for f in self.complex.facets
-            ]
+            ids = self.complex.vertex_id
+            classes = self._classes[agent] = [ids[f.vertices[agent]] for f in self.complex.facets]
         return classes
 
     def _blocks(self, kind: str, agents: frozenset[int]) -> list[int]:
         """The partition of facet ids, as masks, that `D[agents]` ("dist") or
         `C[agents]` ("common") quantifies over: facets sharing their vertex of
         every agent, one block for no agents; or the connected components of
-        the agents' partitions, singletons for no agents."""
+        the agents' partitions (union-find over vertex ids), singletons for no
+        agents."""
         blocks = self._partitions.get((kind, agents))
         if blocks is not None:
             return blocks
@@ -132,21 +131,21 @@ class SimplicialModel:
         size = len(self.complex.facets)
         if kind == "dist":
             keys = zip(*columns) if columns else [()] * size
+        elif not columns:
+            keys = range(size)
         else:
-            parent = list(range(size))
+            parent = list(range(len(self.complex.vertex_id)))
 
             def root(i: int) -> int:
                 while parent[i] != i:
                     parent[i] = i = parent[parent[i]]
                 return i
 
-            for classes in columns:
-                first: dict[int, int] = {}
-                for i, c in enumerate(classes):
-                    j = first.setdefault(c, i)
-                    if j != i:
-                        parent[root(i)] = root(j)
-            keys = map(root, range(size))
+            for other in columns[1:]:
+                for u, w in set(zip(columns[0], other)):
+                    parent[root(u)] = root(w)
+            roots = {u: root(u) for u in set(columns[0])}
+            keys = map(roots.__getitem__, columns[0])
         masks: dict = {}
         for i, key in enumerate(keys):
             masks[key] = masks.get(key, 0) | 1 << i
@@ -245,17 +244,11 @@ def facet_images(
     target: ChromaticComplex,
 ) -> list[int | None]:
     """Per source facet, the id of the target facet `delta` maps it onto, or
-    None; facets compare as integer vertex ids, one lookup per source vertex."""
-    ids: dict[Vertex, int] = {}
-    by_ids = {
-        tuple([ids.setdefault(v, len(ids)) for v in f.vertices]): j
-        for j, f in enumerate(target.facets)
-    }
-    image: dict[Vertex, int | None] = {}
-    for f in source.facets:
-        for v in f.vertices:
-            if v not in image:
-                image[v] = ids.get(delta[v])
+    None; facets compare as tuples of the target's vertex ids, one lookup per
+    source vertex."""
+    ids = target.vertex_id
+    by_ids = {tuple(map(ids.__getitem__, f.vertices)): j for j, f in enumerate(target.facets)}
+    image = {v: ids.get(delta[v]) for v in source.vertices()}
     return [by_ids.get(tuple(map(image.__getitem__, f.vertices))) for f in source.facets]
 
 
@@ -266,7 +259,7 @@ def _morphism_images(
 ) -> tuple[str | None, list[int | None]]:
     """`morphism_violation`'s answer, with the facet images it checked (none
     when a vertex fails first)."""
-    for v in sorted(source.complex.vertices(), key=Vertex.key):
+    for v in source.complex.vertices():
         image = delta.get(v)
         if image is None:
             return f"vertex {v.text()} is unmapped", []
@@ -310,11 +303,7 @@ def model_to_json(model: SimplicialModel) -> dict:
 
 def model_from_json(data: dict) -> SimplicialModel:
     complex = complex_from_json(data)
-    kinds = {
-        "pair" if isinstance(v.obs, tuple) else "plain"
-        for f in complex.facets
-        for v in f.vertices
-    }
+    kinds = {"pair" if isinstance(v.obs, tuple) else "plain" for v in complex.vertices()}
     if kinds == {"pair"}:
         projection = "left"
     elif kinds == {"plain"}:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .complexes import Vertex, obs_key
+from .complexes import Vertex
 from .formulas import Formula, atom, and_, or_, not_, know, common, distributed, is_positive
 from .models import SimplicialModel, _bits, _morphism_images, morphism_violation
 
@@ -33,10 +33,8 @@ class SolvabilityResult:
 
 
 def _require_product(model: SimplicialModel, role: str) -> None:
-    for facet in model.complex.facets:
-        for v in facet.vertices:
-            if not (isinstance(v.obs, tuple) and len(v.obs) == 2):
-                raise ValueError(f"{role} model is not a product update model")
+    if not all(isinstance(v.obs, tuple) and len(v.obs) == 2 for v in model.complex.vertices()):
+        raise ValueError(f"{role} model is not a product update model")
 
 
 def find_morphism(
@@ -57,11 +55,10 @@ def find_morphism(
     _require_product(protocol, "protocol")
     _require_product(task, "task")
 
-    # Decisions available per (color, input value), in ascending order.
-    decisions: dict[tuple[int, int], set] = {}
+    # Decisions per (color, input value), ascending: `vertices()` is canonical.
+    decisions: dict[tuple[int, int], list] = {}
     for v in task.complex.vertices():
-        decisions.setdefault((v.color, v.obs[0]), set()).add(v.obs[1])
-    decisions = {key: sorted(ds, key=obs_key) for key, ds in decisions.items()}
+        decisions.setdefault((v.color, v.obs[0]), []).append(v.obs[1])
 
     # Allowed decision vectors per input facet of the task, keyed by its input
     # values (facets are pure, so position i is color i). masks[inputs][i][d]
@@ -87,7 +84,7 @@ def find_morphism(
         live.append((1 << len(allowed.get(inputs, ()))) - 1)
         for v, column in zip(facet.vertices, masks.get(inputs, no_vectors)):
             incidence.setdefault(v, []).append((i, column))
-    vertices = sorted(incidence, key=Vertex.key)
+    vertices = protocol.complex.vertices()
     candidates = {v: decisions.get((v.color, v.obs[0]), []) for v in vertices}
 
     # Most constrained first; higher facet degree breaks ties for pruning

@@ -5,7 +5,9 @@ from hypothesis import example, given, strategies as st
 
 from obstruction import cli
 from obstruction.cli import main
+from obstruction.complexes import Vertex
 from obstruction.models import model_to_json
+from obstruction.tasks import apply_action, immediate_snapshot_action, initial_model
 
 from conftest import build_demo_model
 
@@ -211,6 +213,32 @@ def test_solve_trivial_task(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["transcript"]["morphism"] is True
     assert len(doc["map"]) == 12
+
+
+def test_solve_writes_map_in_vertex_key_order(tmp_path, capsys):
+    out = tmp_path / "witness.json"
+    code, _, _ = run(capsys, "solve", "I[is]", "I[sa-trivial]", "--n", "2", "--out", str(out))
+    assert code == 0
+    protocol = apply_action(initial_model(2, (0, 1, 2)), immediate_snapshot_action(2, (0, 1, 2)))
+    vertices = sorted(protocol.complex.vertices(), key=Vertex.key)
+    assert list(json.loads(out.read_text())["map"]) == [v.text() for v in vertices]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "initial", "--n", "-1"],
+        ["obstruct", "I[sa:1]", "round:waitfree", "--gen", "waitfree:1", "--n", "-1"],
+        ["solve", "I[is]", "I[bc]", "--n", "-1"],
+    ],
+    ids=["build", "obstruct", "solve"],
+)
+def test_negative_dimension_is_rejected_by_the_parser(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    _, stderr = capsys.readouterr()
+    assert stderr.endswith("error: argument --n: must be a nonnegative integer, got -1\n")
 
 
 def test_solve_consensus_unsolvable(capsys):

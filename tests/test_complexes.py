@@ -261,6 +261,9 @@ def test_canonical_order_is_facet_key_order(case):
     c = ChromaticComplex(n, facets)
     assert c.facets == tuple(sorted(set(facets), key=Facet.key))
     assert [c.index(f) for f in facets] == [c.facets.index(f) for f in facets]
+    vertices = c.vertices()
+    assert vertices == tuple(sorted({v for f in facets for v in f.vertices}, key=Vertex.key))
+    assert c.vertex_id == {v: i for i, v in enumerate(vertices)}
 
 
 @settings(deadline=None)

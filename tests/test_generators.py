@@ -166,7 +166,6 @@ def test_generated_formulas_never_quantify_over_nobody():
         waitfree_kset_obstruction(3, 2),
         adversary_obstruction(2, waitfree(2)),
         adversary_obstruction(2, from_survivor_sets(2, TWO_OF_THREE)),
-        adversary_obstruction(2, waitfree(2), prune=False),
     ]
     for phi in produced:
         walk(phi, set())
@@ -194,17 +193,6 @@ def test_two_of_three_singleton_cases_are_guarded():
         assert guarded.agents == frozenset({a})
         # Larger groups leave no surviving complement, so no nested guard remains.
         assert all(c.kind != "dist" for c in family.cases[frozenset({a})].children)
-
-
-def test_pruning_is_semantics_preserving():
-    initial = initial_model(2, [0, 1, 2])
-    agreement = apply_action(initial, set_agreement_action(2, 1))
-    rounds = apply_action(initial, round_operator_action(2, waitfree(2)))
-    pruned = adversary_obstruction(2, waitfree(2), prune=True)
-    unpruned = adversary_obstruction(2, waitfree(2), prune=False)
-    for model in (agreement, rounds):
-        for facet in model.complex.facets:
-            assert model.satisfies(facet, pruned) == model.satisfies(facet, unpruned)
 
 
 def test_generated_formulas_agree_with_naive_evaluation():
