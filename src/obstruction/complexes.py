@@ -6,13 +6,14 @@ is structural everywhere, so two facets share an agent's vertex exactly when
 that agent's color and observation coincide in both.
 
 The builders in this package share one object per distinct vertex across the
-facets of a complex (see `vertex_table`), so hashing and equality mostly hit
-cached hashes and identity. A complex keeps its facets in `Facet.key` order,
-computed by ranking its distinct vertices once and comparing facets by their
-tuples of integer ranks.
+facets of a complex (see `vertex_table`; products key theirs by the factors'
+vertex ids), so hashing and equality mostly hit cached hashes and identity. A
+complex keeps its facets in `Facet.key` order, computed by ranking its
+distinct vertices once and comparing facets by their tuples of integer ranks.
 """
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Callable, Iterable, Iterator
 
 # An observation is one of:
@@ -165,6 +166,15 @@ class Facet:
         return iter(self.vertices)
 
 
+def _facet(vertices: tuple[Vertex, ...]) -> Facet:
+    """A facet of vertices already holding the colors 0..n in order, made
+    without `Facet`'s checks; equal to `Facet(vertices)`, with the same hash."""
+    facet = object.__new__(Facet)
+    facet.vertices = vertices
+    facet._hash = hash(vertices)
+    return facet
+
+
 class ChromaticComplex:
     """A pure chromatic complex of dimension n, stored by its facets.
 
@@ -250,23 +260,39 @@ def cartesian_product(c: ChromaticComplex, d: ChromaticComplex) -> ChromaticComp
     """Componentwise product: each vertex pairs the two observations of a color."""
     if c.n != d.n:
         raise ValueError(f"dimension mismatch: {c.n} vs {d.n}")
-    vertex = vertex_table()
-    facets = [
-        product_facet(x, y, vertex)
-        for x in c.facets
-        for y in d.facets
-    ]
-    return ChromaticComplex(c.n, facets)
+    return ChromaticComplex(c.n, _product_facets(c, d, ((x, d.facets) for x in c.facets)))
 
 
-def product_facet(
-    x: Facet, y: Facet, vertex: Callable[[int, Obs], Vertex] = Vertex
-) -> Facet:
-    """Pair each vertex of x with y's vertex of the same color.
+def _product_facets(c: ChromaticComplex, d: ChromaticComplex, pairs) -> list[Facet]:
+    """The product facets of x and each y, for each (x, ys) in `pairs`: x a
+    facet of c, each y one of d, and c.n == d.n. Both hold the colors 0..n in
+    order, so vertices pair by position and the facets skip `Facet`'s checks.
+    Each product vertex is made once, keyed by its factors' vertex ids."""
+    left, right = c.vertices(), d.vertices()
+    width, made = len(right), {}
 
-    `vertex` makes the paired vertices; pass a `vertex_table()` to share them
-    across the facets of one product.
-    """
+    def make(key: int) -> Vertex:
+        if key not in made:
+            u, w = left[key // width], right[key % width]
+            made[key] = Vertex(u.color, (u.obs, w.obs))
+        return made[key]
+
+    right_id = d.vertex_id.__getitem__
+    rows = {y: tuple(map(right_id, y.vertices)) for y in d.facets}
+    facets = []
+    for x, ys in pairs:
+        base = [c.vertex_id[u] * width for u in x.vertices]
+        for y in ys:
+            try:
+                vs = tuple(map(made.__getitem__, map(add, base, rows[y])))
+            except KeyError:
+                vs = tuple(map(make, map(add, base, rows[y])))
+            facets.append(_facet(vs))
+    return facets
+
+
+def product_facet(x: Facet, y: Facet) -> Facet:
+    """Pair each vertex of x with y's vertex of the same color."""
     xs, ys = x.vertices, y.vertices
     # A facet's colors are distinct integers in increasing order, so two
     # facets with the same first and last colors, each holding every color
@@ -278,7 +304,7 @@ def product_facet(
     )
     if not same:
         ys = [y.vertex(v.color) for v in xs]
-    return Facet(vertex(v.color, (v.obs, w.obs)) for v, w in zip(xs, ys))
+    return Facet(Vertex(v.color, (v.obs, w.obs)) for v, w in zip(xs, ys))
 
 
 def _pair_obs(obs: Obs) -> tuple:

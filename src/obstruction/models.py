@@ -79,8 +79,11 @@ class SimplicialModel:
         self._checked_agents.add(phi.uid)
 
     def satisfies(self, facet: Facet, phi: Formula) -> bool:
-        self._validate_agents(phi)
-        return bool(self._mask(phi) >> self.complex.index(facet) & 1)
+        mask = self._masks.get(phi.uid)
+        if mask is None or phi.uid not in self._checked_agents:
+            self._validate_agents(phi)
+            mask = self._mask(phi)
+        return bool(mask >> self.complex.index(facet) & 1)
 
     def _mask(self, phi: Formula) -> int:
         """The set of facet ids where `phi` holds."""
@@ -216,26 +219,34 @@ def induce_model(complex: ChromaticComplex, projection: str = "obs") -> Simplici
     """
     if projection not in ("obs", "left"):
         raise ValueError(f"unknown projection {projection!r}")
-    # Facets share vertices, and product facets share their input halves, so
-    # each vertex's atom and each distinct atom set is made once.
-    entries: dict[Vertex, tuple[int, int]] = {}
-    shared: dict[frozenset, frozenset] = {}
-    atom_sets = []
-    for facet in complex.facets:
-        for v in facet.vertices:
-            if v in entries:
-                continue
-            value = v.obs
-            if projection == "left":
-                if not (isinstance(value, tuple) and len(value) == 2):
-                    raise ValueError(f"vertex {v.text()} is not a product vertex")
-                value = value[0]
-            if not isinstance(value, int):
-                raise ValueError(f"input of vertex {v.text()} is not an integer value")
-            entries[v] = (v.color, value)
-        atoms = frozenset(map(entries.__getitem__, facet.vertices))
-        atom_sets.append(shared.setdefault(atoms, atoms))
-    return SimplicialModel(complex, tuple(atom_sets))
+
+    def check(v: Vertex) -> None:
+        obs = v.obs
+        if projection == "left":
+            if not (isinstance(obs, tuple) and len(obs) == 2):
+                raise ValueError(f"vertex {v.text()} is not a product vertex")
+            obs = obs[0]
+        if not isinstance(obs, int):
+            raise ValueError(f"input of vertex {v.text()} is not an integer value")
+
+    try:
+        for v in complex.vertices():
+            check(v)
+    except ValueError:
+        # Name the first offending vertex in facet order.
+        for facet in complex.facets:
+            for v in facet.vertices:
+                check(v)
+        raise
+    # Every vertex carries an integer input, so each facet's inputs read
+    # straight off its vertices. A facet holds the colors 0..n in order, so
+    # its tuple of inputs determines its atom set; each distinct set is made once.
+    if projection == "left":
+        keys = [tuple([v.obs[0] for v in f.vertices]) for f in complex.facets]
+    else:
+        keys = [tuple([v.obs for v in f.vertices]) for f in complex.facets]
+    atoms = {key: frozenset(enumerate(key)) for key in set(keys)}
+    return SimplicialModel(complex, tuple(map(atoms.__getitem__, keys)))
 
 
 def facet_images(

@@ -25,8 +25,9 @@ from .complexes import (
     Vertex,
     complex_to_json,
     complex_from_json,
-    product_facet,
     vertex_table,
+    _facet,
+    _product_facets,
 )
 from .formulas import Formula, and_, atom, or_, parse, render
 from .models import SimplicialModel, induce_model
@@ -99,21 +100,21 @@ def initial_model(n: int, inputs: Iterable[int]) -> SimplicialModel:
 def _view_action(n: int, vectors, inputs: Iterable[int], name: str) -> ActionModel:
     """One action facet per input facet and view vector.
 
-    Agent a's vertex holds the inputs of the agents in vector[a]; each
-    distinct (agent, view) pair of an input facet is built once.
+    Agent a's vertex holds the inputs of the agents in vector[a]. The
+    distinct (agent, view) cells are numbered once, and each input facet
+    builds one vertex per cell.
     """
-    cells = [tuple(enumerate(vector)) for vector in vectors]
-    distinct = {cell for vector in cells for cell in vector}
+    cells: dict[tuple[int, frozenset[int]], int] = {}
+    rows = [tuple(cells.setdefault(c, len(cells)) for c in enumerate(v)) for v in vectors]
     vertex = vertex_table()
     facets, pre = [], {}
     for x in initial_complex(n, inputs).facets:
         guard = pin_formula(x)
-        at = {
-            (a, seen): vertex(a, frozenset((b, x.vertices[b].obs) for b in seen))
-            for a, seen in distinct
-        }
-        for vector in cells:
-            facet = Facet(map(at.__getitem__, vector))
+        obs = [v.obs for v in x.vertices]
+        at = [vertex(a, frozenset([(b, obs[b]) for b in seen])) for a, seen in cells]
+        for row in rows:
+            # A row lists one cell per agent, in agent order.
+            facet = _facet(tuple(map(at.__getitem__, row)))
             facets.append(facet)
             pre[facet] = guard
     return ActionModel(ChromaticComplex(n, facets), pre, name)
@@ -220,14 +221,12 @@ def apply_action(model: SimplicialModel, action: ActionModel) -> SimplicialModel
     groups: dict[Formula, list[Facet]] = {}
     for y in action.complex.facets:
         groups.setdefault(action.pre[y], []).append(y)
-    vertex = vertex_table()
-    kept = [
-        product_facet(x, y, vertex)
+    kept = _product_facets(model.complex, action.complex, (
+        (x, ys)
         for x in model.complex.facets
         for pre, ys in groups.items()
         if model.satisfies(x, pre)
-        for y in ys
-    ]
+    ))
     if not kept:
         raise ValueError("empty product update: preconditions exclude every pair")
     return induce_model(ChromaticComplex(model.complex.n, kept), "left")

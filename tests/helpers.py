@@ -1,9 +1,10 @@
 """Shared test utilities: facet locators, an independent naive evaluator, the
-per-pair product update, point-form morphism and knowledge checks, the plain
-backtracking reference for the decision-map search, and the direct
-constructions that the package now derives from general builders (round view
-vectors by product-then-filter, immediate snapshot vectors from ordered set
-partitions, the inductive wait-free k-agreement obstruction)."""
+per-pair product update, the view-action builder over checked `Facet`s,
+point-form morphism and knowledge checks, the plain backtracking reference
+for the decision-map search, and the direct constructions that the package
+now derives from general builders (round view vectors by product-then-filter,
+immediate snapshot vectors from ordered set partitions, the inductive
+wait-free k-agreement obstruction)."""
 
 from itertools import combinations, product as iter_product
 
@@ -16,10 +17,18 @@ from obstruction.complexes import (
     product_facet,
     project_left,
     shared_colors,
+    vertex_table,
 )
 from obstruction.formulas import Formula, atom, distributed, know, not_, or_
 from obstruction.models import SimplicialModel, induce_model
-from obstruction.tasks import ActionModel, input_of, ordered_set_partitions, seen_agents
+from obstruction.tasks import (
+    ActionModel,
+    initial_complex,
+    input_of,
+    ordered_set_partitions,
+    pin_formula,
+    seen_agents,
+)
 
 
 def facet_with_values(model: SimplicialModel, values) -> Facet:
@@ -110,6 +119,34 @@ def naive_product_update(model: SimplicialModel, action: ActionModel) -> Simplic
         if naive_satisfies(model, x, action.pre[y])
     ]
     return induce_model(ChromaticComplex(model.complex.n, kept), "left")
+
+
+def reference_view_action(n: int, vectors, inputs, name: str) -> ActionModel:
+    """Reference for `tasks._view_action`: each facet made through the
+    checking `Facet` constructor from a table of (agent, view) vertices."""
+    cells = [tuple(enumerate(vector)) for vector in vectors]
+    distinct = {cell for vector in cells for cell in vector}
+    vertex = vertex_table()
+    facets, pre = [], {}
+    for x in initial_complex(n, inputs).facets:
+        guard = pin_formula(x)
+        at = {
+            (a, seen): vertex(a, frozenset((b, x.vertices[b].obs) for b in seen))
+            for a, seen in distinct
+        }
+        for vector in cells:
+            facet = Facet(map(at.__getitem__, vector))
+            facets.append(facet)
+            pre[facet] = guard
+    return ActionModel(ChromaticComplex(n, facets), pre, name)
+
+
+def assert_checked_facets(complex: ChromaticComplex) -> None:
+    """Every facet equals, and hashes like, the checked `Facet` of its vertices."""
+    for f in complex.facets:
+        checked = Facet(f.vertices)
+        assert f == checked and hash(f) == hash(checked), f
+        assert f.vertices == checked.vertices
 
 
 def naive_knowledge_gain(delta, source: SimplicialModel, target: SimplicialModel, formulas) -> bool:

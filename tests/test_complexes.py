@@ -18,9 +18,16 @@ from obstruction.complexes import (
     shared_colors,
 )
 from obstruction.cli import main
-from obstruction.tasks import binary_consensus_action, initial_complex
+from obstruction.tasks import (
+    apply_action,
+    binary_consensus_action,
+    immediate_snapshot_action,
+    initial_complex,
+    initial_model,
+    set_agreement_action,
+)
 
-from helpers import facet_with_values
+from helpers import assert_checked_facets, facet_with_values
 
 
 def test_demo_complex_shape(demo_model):
@@ -102,6 +109,18 @@ def test_product_dimension_mismatch():
     d = _complex_of_values(0, [(0,)])
     with pytest.raises(ValueError, match="dimension mismatch"):
         cartesian_product(c, d)
+
+
+def test_product_matches_per_pair_product_facet():
+    inputs = initial_complex(2, [0, 1, 2])
+    views = immediate_snapshot_action(2, [0, 1]).complex
+    decisions = set_agreement_action(2, 2).complex
+    paired = apply_action(initial_model(2, [0, 1]), immediate_snapshot_action(2, [0, 1])).complex
+    for c, d in [(inputs, views), (views, decisions), (paired, inputs), (decisions, paired)]:
+        p = cartesian_product(c, d)
+        assert p == ChromaticComplex(c.n, [product_facet(x, y) for x in c.facets for y in d.facets])
+        assert len(p.facets) == len(c.facets) * len(d.facets)
+        assert_checked_facets(p)
 
 
 def test_projections_invert_pairing():

@@ -276,6 +276,16 @@ def test_induce_model_rejects_non_integer_inputs():
         induce_model(complex, "right")
 
 
+def test_induce_model_names_the_first_bad_vertex_in_facet_order():
+    # Facet order puts 1:{1:0} first, while Vertex.key order puts 0:{0:1} first.
+    complex = ChromaticComplex(1, [
+        Facet([Vertex(0, frozenset({(0, 1)})), Vertex(1, 1)]),
+        Facet([Vertex(0, 0), Vertex(1, frozenset({(1, 0)}))]),
+    ])
+    with pytest.raises(ValueError, match=r"^input of vertex 1:\{1:0\} is not an integer value$"):
+        induce_model(complex, "obs")
+
+
 def test_identity_is_a_morphism(demo_model):
     identity = {v: v for v in demo_model.complex.vertices()}
     assert check_morphism(identity, demo_model, demo_model)

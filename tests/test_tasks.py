@@ -33,11 +33,13 @@ from obstruction.tasks import (
 )
 
 from helpers import (
+    assert_checked_facets,
     facet_with_values,
     naive_product_update,
     partition_view_vectors,
     product_view_vectors,
     protocol_facet,
+    reference_view_action,
 )
 
 
@@ -296,6 +298,27 @@ def test_product_matches_per_pair_reference(name):
     expected = naive_product_update(model, action)
     assert product.complex == expected.complex
     assert product._atoms == expected._atoms
+    assert_checked_facets(product.complex)
+
+
+VIEW_ACTION_CASES = {
+    **{
+        f"is-n{n}": (n, [v for v in view_vectors(n, waitfree(n)) if is_immediate(v)], [0, 1])
+        for n in (1, 2, 3)
+    },
+    "waitfree-n3": (3, view_vectors(3, waitfree(3)), [0, 1]),
+    "split-pair-n3": (3, view_vectors(3, from_survivor_sets(3, [{0, 1}, {2, 3}])), range(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIEW_ACTION_CASES))
+def test_view_action_matches_checked_reference(name):
+    n, vectors, inputs = VIEW_ACTION_CASES[name]
+    action = _view_action(n, vectors, inputs, name)
+    expected = reference_view_action(n, vectors, inputs, name)
+    assert action.complex == expected.complex
+    assert action.pre == expected.pre
+    assert_checked_facets(action.complex)
 
 
 def test_uniform_product_one_facet_per_action_point():
