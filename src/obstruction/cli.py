@@ -85,15 +85,12 @@ def _build_action(token: str, n: int, inputs, args) -> tasks.ActionModel:
     if token == "sa-trivial":
         return tasks.decide_own_input_action(n, inputs)
     if token.startswith("sa"):
-        if token.startswith("sa:"):
-            try:
-                k = int(token.split(":", 1)[1])
-            except ValueError:
-                raise UsageError(f"bad agreement bound in {token!r}")
-        elif token == "sa" and args.k is not None:
-            k = args.k
-        else:
-            raise UsageError(f"spec {token!r} needs an agreement bound (sa:K or --k)")
+        if not token.startswith("sa:"):
+            raise UsageError(f"spec {token!r} needs an agreement bound: sa:K")
+        try:
+            k = int(token.split(":", 1)[1])
+        except ValueError:
+            raise UsageError(f"bad agreement bound in {token!r}")
         return tasks.set_agreement_action(n, k, inputs)
     if token.startswith("round"):
         if token.startswith("round:"):
@@ -348,7 +345,6 @@ def _make_parser() -> argparse.ArgumentParser:
             help="dimension: agents are 0..n",
         )
         p.add_argument("--inputs", type=_inputs_arg, default=None, help="comma-separated input values")
-        p.add_argument("--k", type=int, default=None, help="agreement bound for bare 'sa' specs")
         p.add_argument("--adversary", default=None, help="adversary file, or 'waitfree'")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 

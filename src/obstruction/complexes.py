@@ -1,20 +1,22 @@
 """Pure chromatic simplicial complexes and their cartesian products.
 
-A vertex carries a process color and an observation; a facet holds exactly
-one vertex per color; a complex is determined by its set of facets. Equality
-is structural everywhere, so two facets share an agent's vertex exactly when
-that agent's color and observation coincide in both.
+A vertex is the pair (color, observation) of one process; a facet is the
+tuple of its vertices, one per color in color order; a complex is determined
+by its set of facets. Both are plain tuples underneath, so hashing and
+equality are the tuples' own and structural: two facets share an agent's
+vertex exactly when that agent's color and observation coincide in both.
 
-The builders in this package share one object per distinct vertex across the
-facets of a complex (see `vertex_table`; products key theirs by the factors'
-vertex ids), so hashing and equality mostly hit cached hashes and identity. A
-complex keeps its facets in `Facet.key` order, computed by ranking its
-distinct vertices once and comparing facets by their tuples of integer ranks.
+Tuple order compares frozenset views by inclusion, so vertices and facets are
+never sorted by their natural order. The builders in this package share one
+object per distinct vertex across the facets of a complex (see
+`vertex_table`; products key theirs by the factors' vertex ids). A complex
+keeps its facets in `Facet.key` order, computed by ranking its distinct
+vertices once by `Vertex.key` and comparing facets by their tuples of
+integer ranks.
 """
 
-from dataclasses import dataclass, field
 from operator import add
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, NamedTuple
 
 # An observation is one of:
 #   int                         -- a plain value (input or decision)
@@ -72,19 +74,11 @@ def obs_from_json(data) -> Obs:
     raise ValueError(f"not an observation: {data!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Vertex:
+class Vertex(NamedTuple):
     """A colored vertex: one process together with what it observed."""
 
     color: int
     obs: Obs
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.color, self.obs)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def key(self) -> tuple:
         return (self.color, obs_key(self.obs))
@@ -111,12 +105,12 @@ def vertex_table() -> Callable[[int, Obs], Vertex]:
     return vertex
 
 
-class Facet:
-    """A maximal simplex: one vertex per color, kept sorted by color."""
+class Facet(tuple):
+    """A maximal simplex: the tuple of its vertices, one per color, sorted by color."""
 
-    __slots__ = ("vertices", "_hash")
+    __slots__ = ()
 
-    def __init__(self, vertices: Iterable[Vertex]):
+    def __new__(cls, vertices: Iterable[Vertex]):
         vs = tuple(vertices)
         colors = [v.color for v in vs]
         if colors != sorted(set(colors)):
@@ -127,15 +121,19 @@ class Facet:
                 raise ValueError(f"duplicate colors in facet: {dup}")
         if not vs:
             raise ValueError("empty facet")
-        self.vertices: tuple[Vertex, ...] = vs
-        self._hash = hash(vs)
+        return tuple.__new__(cls, vs)
+
+    @property
+    def vertices(self) -> "Facet":
+        """The facet itself, read as its tuple of vertices."""
+        return self
 
     @property
     def colors(self) -> tuple[int, ...]:
-        return tuple([v.color for v in self.vertices])
+        return tuple([v.color for v in self])
 
     def vertex(self, color: int) -> Vertex:
-        for v in self.vertices:
+        for v in self:
             if v.color == color:
                 return v
         raise KeyError(f"no vertex of color {color}")
@@ -144,35 +142,19 @@ class Facet:
         return self.vertex(color).obs
 
     def key(self) -> tuple:
-        return tuple(v.key() for v in self.vertices)
+        return tuple(v.key() for v in self)
 
     def text(self) -> str:
-        return " ".join(v.text() for v in self.vertices)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Facet)
-            and self._hash == other._hash
-            and self.vertices == other.vertices
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+        return " ".join(v.text() for v in self)
 
     def __repr__(self) -> str:
         return f"Facet({self.text()})"
 
-    def __iter__(self) -> Iterator[Vertex]:
-        return iter(self.vertices)
-
 
 def _facet(vertices: tuple[Vertex, ...]) -> Facet:
     """A facet of vertices already holding the colors 0..n in order, made
-    without `Facet`'s checks; equal to `Facet(vertices)`, with the same hash."""
-    facet = object.__new__(Facet)
-    facet.vertices = vertices
-    facet._hash = hash(vertices)
-    return facet
+    without `Facet`'s checks."""
+    return tuple.__new__(Facet, vertices)
 
 
 class ChromaticComplex:
@@ -192,17 +174,15 @@ class ChromaticComplex:
         unique = set(facets)
         # Vertex.key is injective, so comparing facets by the ranks of their
         # vertices in Vertex.key order is the same as comparing Facet.key.
-        vertices = sorted({v for f in unique for v in f.vertices}, key=Vertex.key)
+        vertices = sorted(set().union(*unique), key=Vertex.key)
         rank = {v: i for i, v in enumerate(vertices)}
-        canon = sorted(unique, key=lambda f: tuple(map(rank.__getitem__, f.vertices)))
+        canon = sorted(unique, key=lambda f: tuple(map(rank.__getitem__, f)))
         if not canon:
             raise ValueError("a complex needs at least one facet")
         # A facet's colors are distinct, so n + 1 of them drawn from 0..n are
         # exactly 0..n; only a failing complex looks at each facet's colors.
         expected = tuple(range(n + 1))
-        if not {v.color for v in vertices} <= set(expected) or any(
-            len(f.vertices) != n + 1 for f in canon
-        ):
+        if not {v.color for v in vertices} <= set(expected) or set(map(len, canon)) != {n + 1}:
             bad = next(f for f in canon if f.colors != expected)
             raise ValueError(
                 f"facet colors {bad.colors} do not match dimension {n} "
@@ -246,14 +226,14 @@ class ChromaticComplex:
 
 def shared_colors(x: Facet, y: Facet) -> frozenset[int]:
     """Colors of the vertices the two facets have in common."""
-    other = set(y.vertices)
-    return frozenset(v.color for v in x.vertices if v in other)
+    other = set(y)
+    return frozenset(v.color for v in x if v in other)
 
 
 def facet_texts(c: ChromaticComplex) -> list[str]:
     """`Facet.text()` of every facet in order, rendering each distinct vertex once."""
     texts = {v: v.text() for v in c.vertices()}
-    return [" ".join([texts[v] for v in f.vertices]) for f in c.facets]
+    return [" ".join(map(texts.__getitem__, f)) for f in c.facets]
 
 
 def cartesian_product(c: ChromaticComplex, d: ChromaticComplex) -> ChromaticComplex:
@@ -278,10 +258,10 @@ def _product_facets(c: ChromaticComplex, d: ChromaticComplex, pairs) -> list[Fac
         return made[key]
 
     right_id = d.vertex_id.__getitem__
-    rows = {y: tuple(map(right_id, y.vertices)) for y in d.facets}
+    rows = {y: tuple(map(right_id, y)) for y in d.facets}
     facets = []
     for x, ys in pairs:
-        base = [c.vertex_id[u] * width for u in x.vertices]
+        base = [c.vertex_id[u] * width for u in x]
         for y in ys:
             try:
                 vs = tuple(map(made.__getitem__, map(add, base, rows[y])))
@@ -293,18 +273,16 @@ def _product_facets(c: ChromaticComplex, d: ChromaticComplex, pairs) -> list[Fac
 
 def product_facet(x: Facet, y: Facet) -> Facet:
     """Pair each vertex of x with y's vertex of the same color."""
-    xs, ys = x.vertices, y.vertices
     # A facet's colors are distinct integers in increasing order, so two
     # facets with the same first and last colors, each holding every color
     # in between, have the same colors.
     same = (
-        xs[0].color == ys[0].color
-        and xs[-1].color == ys[-1].color
-        and len(xs) == len(ys) == xs[-1].color - xs[0].color + 1
+        x[0].color == y[0].color
+        and x[-1].color == y[-1].color
+        and len(x) == len(y) == x[-1].color - x[0].color + 1
     )
-    if not same:
-        ys = [y.vertex(v.color) for v in xs]
-    return Facet(Vertex(v.color, (v.obs, w.obs)) for v, w in zip(xs, ys))
+    ys = y if same else [y.vertex(v.color) for v in x]
+    return Facet(Vertex(v.color, (v.obs, w.obs)) for v, w in zip(x, ys))
 
 
 def _pair_obs(obs: Obs) -> tuple:
@@ -315,12 +293,12 @@ def _pair_obs(obs: Obs) -> tuple:
 
 def project_left(z: Facet) -> Facet:
     """First component of a product facet, a color-preserving simplicial map."""
-    return Facet(Vertex(v.color, _pair_obs(v.obs)[0]) for v in z.vertices)
+    return Facet(Vertex(v.color, _pair_obs(v.obs)[0]) for v in z)
 
 
 def project_right(z: Facet) -> Facet:
     """Second component of a product facet."""
-    return Facet(Vertex(v.color, _pair_obs(v.obs)[1]) for v in z.vertices)
+    return Facet(Vertex(v.color, _pair_obs(v.obs)[1]) for v in z)
 
 
 def left_of(v: Vertex) -> Vertex:
@@ -334,7 +312,7 @@ def complex_to_json(c: ChromaticComplex) -> dict:
     entries = {v: {"color": v.color, "obs": obs_to_json(v.obs)} for v in c.vertices()}
     return {
         "n": c.n,
-        "facets": [{"vertices": [entries[v] for v in f.vertices]} for f in c.facets],
+        "facets": [{"vertices": list(map(entries.__getitem__, f))} for f in c.facets],
     }
 
 

@@ -22,12 +22,24 @@ from typing import Iterable
 
 _TABLE: dict = {}
 _UIDS = count()
+_MODAL_KINDS = ("know", "common", "dist")
+# One object per distinct agent set that nodes mention: few sets, many nodes.
+_MENTIONS: dict[frozenset[int], frozenset[int]] = {}
 
 
 class Formula:
-    """One interned node of the formula DAG. Build via the module constructors."""
+    """One interned node of the formula DAG. Build via the module constructors.
 
-    __slots__ = ("uid", "kind", "agent", "value", "agents", "children")
+    Besides its fields, a node records three facts about its subformula:
+    `mentions`, the agent ids its atoms and modal operators name; `modal`,
+    whether a modal operator occurs in it; `positive`, whether no modal
+    operator occurs inside a negation.
+    """
+
+    __slots__ = (
+        "uid", "kind", "agent", "value", "agents", "children",
+        "mentions", "modal", "positive",
+    )
 
     def __init__(self, kind, agent, value, agents, children):
         self.uid = next(_UIDS)
@@ -36,6 +48,14 @@ class Formula:
         self.value = value
         self.agents = agents
         self.children = children
+        own = agents or (() if agent is None else (agent,))
+        mentions = frozenset(own).union(*(c.mentions for c in children))
+        self.mentions = _MENTIONS.setdefault(mentions, mentions)
+        self.modal = kind in _MODAL_KINDS or any(c.modal for c in children)
+        if kind == "not":
+            self.positive = not children[0].modal
+        else:
+            self.positive = all(c.positive for c in children)
 
     def __repr__(self) -> str:
         return f"Formula<{render(self)}>"
@@ -120,44 +140,18 @@ def distributed(agents: Iterable[int], phi: Formula) -> Formula:
 TRUE = not_(FALSE)
 
 
-_MODAL_KINDS = ("know", "common", "dist")
-_HAS_MODAL: dict[int, bool] = {}
-_POSITIVE: dict[int, bool] = {}
-_AGENTS: dict[int, frozenset[int]] = {}
-
-
 def has_modal(phi: Formula) -> bool:
-    cached = _HAS_MODAL.get(phi.uid)
-    if cached is None:
-        cached = phi.kind in _MODAL_KINDS or any(has_modal(c) for c in phi.children)
-        _HAS_MODAL[phi.uid] = cached
-    return cached
+    return phi.modal
 
 
 def is_positive(phi: Formula) -> bool:
     """True when no knowledge operator occurs inside a negation."""
-    cached = _POSITIVE.get(phi.uid)
-    if cached is None:
-        if phi.kind == "not":
-            cached = not has_modal(phi.children[0])
-        else:
-            cached = all(is_positive(c) for c in phi.children)
-        _POSITIVE[phi.uid] = cached
-    return cached
+    return phi.positive
 
 
 def agents_of(phi: Formula) -> frozenset[int]:
     """All agent ids mentioned by atoms or modal operators."""
-    cached = _AGENTS.get(phi.uid)
-    if cached is None:
-        own: frozenset[int] = frozenset()
-        if phi.kind == "atom" or phi.kind == "know":
-            own = frozenset((phi.agent,))
-        elif phi.kind in ("common", "dist"):
-            own = phi.agents
-        cached = own.union(*(agents_of(c) for c in phi.children))
-        _AGENTS[phi.uid] = cached
-    return cached
+    return phi.mentions
 
 
 _LEVEL = {

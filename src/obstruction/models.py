@@ -54,7 +54,6 @@ class SimplicialModel:
         self._atom_masks: dict[tuple[int, int], int] | None = None
         self._partitions: dict[tuple[str, frozenset[int]], list[int]] = {}
         self._classes: dict[int, list[int]] = {}
-        self._checked_agents: set[int] = set()
 
     @property
     def n(self) -> int:
@@ -69,18 +68,18 @@ class SimplicialModel:
     # -- satisfaction ------------------------------------------------------
 
     def _validate_agents(self, phi: Formula) -> None:
-        if phi.uid in self._checked_agents:
-            return
         bad = sorted(a for a in agents_of(phi) if a < 0 or a > self.complex.n)
         if bad:
             raise ValueError(
                 f"agent ids {bad} outside this model's range 0..{self.complex.n}"
             )
-        self._checked_agents.add(phi.uid)
 
     def satisfies(self, facet: Facet, phi: Formula) -> bool:
+        # Masks are only made under a root whose agents were checked, and a
+        # subformula mentions no agent its root does not, so a cached mask
+        # implies checked agents.
         mask = self._masks.get(phi.uid)
-        if mask is None or phi.uid not in self._checked_agents:
+        if mask is None:
             self._validate_agents(phi)
             mask = self._mask(phi)
         return bool(mask >> self.complex.index(facet) & 1)
@@ -118,7 +117,7 @@ class SimplicialModel:
         classes = self._classes.get(agent)
         if classes is None:
             ids = self.complex.vertex_id
-            classes = self._classes[agent] = [ids[f.vertices[agent]] for f in self.complex.facets]
+            classes = self._classes[agent] = [ids[f[agent]] for f in self.complex.facets]
         return classes
 
     def _blocks(self, kind: str, agents: frozenset[int]) -> list[int]:
@@ -235,16 +234,16 @@ def induce_model(complex: ChromaticComplex, projection: str = "obs") -> Simplici
     except ValueError:
         # Name the first offending vertex in facet order.
         for facet in complex.facets:
-            for v in facet.vertices:
+            for v in facet:
                 check(v)
         raise
     # Every vertex carries an integer input, so each facet's inputs read
     # straight off its vertices. A facet holds the colors 0..n in order, so
     # its tuple of inputs determines its atom set; each distinct set is made once.
     if projection == "left":
-        keys = [tuple([v.obs[0] for v in f.vertices]) for f in complex.facets]
+        keys = [tuple([v.obs[0] for v in f]) for f in complex.facets]
     else:
-        keys = [tuple([v.obs for v in f.vertices]) for f in complex.facets]
+        keys = [tuple([v.obs for v in f]) for f in complex.facets]
     atoms = {key: frozenset(enumerate(key)) for key in set(keys)}
     return SimplicialModel(complex, tuple(map(atoms.__getitem__, keys)))
 
@@ -258,9 +257,9 @@ def facet_images(
     None; facets compare as tuples of the target's vertex ids, one lookup per
     source vertex."""
     ids = target.vertex_id
-    by_ids = {tuple(map(ids.__getitem__, f.vertices)): j for j, f in enumerate(target.facets)}
+    by_ids = {tuple(map(ids.__getitem__, f)): j for j, f in enumerate(target.facets)}
     image = {v: ids.get(delta[v]) for v in source.vertices()}
-    return [by_ids.get(tuple(map(image.__getitem__, f.vertices))) for f in source.facets]
+    return [by_ids.get(tuple(map(image.__getitem__, f))) for f in source.facets]
 
 
 def _morphism_images(

@@ -65,8 +65,8 @@ def find_morphism(
     # has bit j set when the j-th allowed vector decides d at position i.
     allowed: dict[tuple, list[tuple]] = {}
     for f in task.complex.facets:
-        inputs = tuple([v.obs[0] for v in f.vertices])
-        allowed.setdefault(inputs, []).append(tuple([v.obs[1] for v in f.vertices]))
+        inputs = tuple([v.obs[0] for v in f])
+        allowed.setdefault(inputs, []).append(tuple([v.obs[1] for v in f]))
     masks: dict[tuple, list[dict]] = {}
     for inputs, vectors in allowed.items():
         table = masks[inputs] = [{} for _ in inputs]
@@ -80,9 +80,9 @@ def find_morphism(
     incidence: dict[Vertex, list[tuple[int, dict]]] = {}
     no_vectors = [{}] * (protocol.complex.n + 1)
     for i, facet in enumerate(protocol.complex.facets):
-        inputs = tuple([v.obs[0] for v in facet.vertices])
+        inputs = tuple([v.obs[0] for v in facet])
         live.append((1 << len(allowed.get(inputs, ()))) - 1)
-        for v, column in zip(facet.vertices, masks.get(inputs, no_vectors)):
+        for v, column in zip(facet, masks.get(inputs, no_vectors)):
             incidence.setdefault(v, []).append((i, column))
     vertices = protocol.complex.vertices()
     candidates = {v: decisions.get((v.color, v.obs[0]), []) for v in vertices}

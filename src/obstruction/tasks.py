@@ -75,7 +75,7 @@ def ordered_set_partitions(items: Iterable[int]) -> list[tuple[frozenset[int], .
 
 def pin_formula(facet: Facet) -> Formula:
     """Conjunction of atoms holding exactly at this input facet."""
-    return and_(*(atom(v.color, v.obs) for v in facet.vertices))
+    return and_(*(atom(v.color, v.obs) for v in facet))
 
 
 def initial_complex(n: int, inputs: Iterable[int]) -> ChromaticComplex:
@@ -110,7 +110,7 @@ def _view_action(n: int, vectors, inputs: Iterable[int], name: str) -> ActionMod
     facets, pre = [], {}
     for x in initial_complex(n, inputs).facets:
         guard = pin_formula(x)
-        obs = [v.obs for v in x.vertices]
+        obs = [v.obs for v in x]
         at = [vertex(a, frozenset([(b, obs[b]) for b in seen])) for a, seen in cells]
         for row in rows:
             # A row lists one cell per agent, in agent order.
@@ -268,7 +268,7 @@ def seen_agents(facet: Facet, agent: int) -> frozenset[int]:
 
 def min_view(facet: Facet) -> frozenset[int]:
     """Agents seen by everybody: the least element of the view chain."""
-    sets = [seen_agents(facet, a) for a in range(len(facet.vertices))]
+    sets = [seen_agents(facet, a) for a in range(len(facet))]
     least = sets[0]
     for s in sets[1:]:
         least &= s

@@ -142,11 +142,18 @@ def reference_view_action(n: int, vectors, inputs, name: str) -> ActionModel:
 
 
 def assert_checked_facets(complex: ChromaticComplex) -> None:
-    """Every facet equals, and hashes like, the checked `Facet` of its vertices."""
+    """Every facet equals, and hashes like, the checked `Facet` of its vertices
+    and the plain tuple of them; every vertex equals, and hashes like, its
+    plain (color, obs) pair."""
     for f in complex.facets:
         checked = Facet(f.vertices)
         assert f == checked and hash(f) == hash(checked), f
         assert f.vertices == checked.vertices
+        plain = tuple(f)
+        assert f == plain and hash(f) == hash(plain), f
+    for v in complex.vertices():
+        pair = (v.color, v.obs)
+        assert v == pair and hash(v) == hash(pair), v
 
 
 def naive_knowledge_gain(delta, source: SimplicialModel, target: SimplicialModel, formulas) -> bool:

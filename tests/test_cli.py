@@ -83,6 +83,18 @@ def test_build_round_requires_adversary(capsys):
     assert "adversary" in err
 
 
+def test_build_has_no_k_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["build", "sa", "--n", "2", "--k", "1"])
+    assert err.value.code == 2
+
+
+def test_build_bare_agreement_spec_needs_a_bound(capsys):
+    code, _, err = run(capsys, "build", "sa", "--n", "2")
+    assert code == 2
+    assert "sa:K" in err
+
+
 def test_check_valid_formula(tmp_path, capsys):
     model = write_demo_model(tmp_path / "demo.json")
     code, out, _ = run(

@@ -102,6 +102,7 @@ def test_product_with_consensus_actions_before_filtering():
     actions = binary_consensus_action(1).complex
     p = cartesian_product(inputs, actions)
     assert len(p.facets) == 8
+    assert_checked_facets(inputs)
 
 
 def test_product_dimension_mismatch():
@@ -167,6 +168,7 @@ def test_complex_json_round_trip(demo_model):
     again = complex_from_json(doc)
     assert again == demo_model.complex
     assert complex_to_json(again) == doc
+    assert_checked_facets(again)
 
 
 def test_decoder_makes_one_vertex_per_distinct_vertex():
@@ -187,6 +189,7 @@ def test_decoder_makes_one_vertex_per_distinct_vertex():
     assert len({id(v) for v in occurrences}) == len(c.vertices()) == 4
     first, second = [v for v in occurrences if v == Vertex(0, frozenset({(0, 1), (1, 0)}))]
     assert first is second
+    assert_checked_facets(c)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,10 +7,12 @@ from obstruction.formulas import (
     FALSE,
     TRUE,
     ParseError,
+    agents_of,
     and_,
     atom,
     common,
     distributed,
+    has_modal,
     is_positive,
     know,
     not_,
@@ -16,6 +20,7 @@ from obstruction.formulas import (
     parse,
     render,
 )
+from obstruction.solver import random_positive_formula
 
 
 def test_parse_knowledge_of_disjunction():
@@ -145,3 +150,32 @@ def formulas(draw, max_depth=4):
 @given(formulas())
 def test_render_round_trips(phi):
     assert parse(render(phi)) is phi
+
+
+def _plain_mentions(phi):
+    own = set(phi.agents or ())
+    if phi.kind in ("atom", "know"):
+        own.add(phi.agent)
+    for c in phi.children:
+        own |= _plain_mentions(c)
+    return own
+
+
+def _plain_modal(phi):
+    return phi.kind in ("know", "common", "dist") or any(map(_plain_modal, phi.children))
+
+
+def _plain_positive(phi):
+    if phi.kind == "not":
+        return not _plain_modal(phi.children[0])
+    return all(map(_plain_positive, phi.children))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_node_facts_match_recursive_definitions(seed, depth):
+    rng = random.Random(seed)
+    drawn = random_positive_formula(rng, [0, 1, 2], [0, 1], depth=depth)
+    for phi in (drawn, not_(drawn)):
+        assert agents_of(phi) == _plain_mentions(phi)
+        assert has_modal(phi) == _plain_modal(phi)
+        assert is_positive(phi) == _plain_positive(phi)

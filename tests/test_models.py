@@ -125,6 +125,18 @@ def test_agent_out_of_range_rejected(demo_model):
         demo_model.validity(atom(7, 0))
 
 
+def test_agent_check_survives_cached_subformula_masks(demo_model):
+    base = atom(0, 0)
+    outside = know(5, base)
+    demo_model.validity(base)
+    with pytest.raises(ValueError, match="outside"):
+        demo_model.satisfies(demo_model.complex.facets[0], outside)
+    with pytest.raises(ValueError, match="outside"):
+        demo_model.validity(outside)
+    with pytest.raises(ValueError, match="outside"):
+        demo_model.counterexamples(outside)
+
+
 @pytest.mark.parametrize("agent", [-1, 3])
 def test_relation_queries_reject_agents_outside_the_model(demo_model, agent):
     f = demo_model.complex.facets[0]
