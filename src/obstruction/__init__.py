@@ -5,12 +5,8 @@ from .complexes import (
     ChromaticComplex,
     Facet,
     Vertex,
-    cartesian_product,
     complex_from_json,
     complex_to_json,
-    project_left,
-    project_right,
-    shared_colors,
 )
 from .formulas import (
     FALSE,
@@ -53,9 +49,7 @@ from .tasks import (
     immediate_snapshot_action,
     initial_model,
     input_of,
-    min_view,
     ordered_set_partitions,
-    output_of,
     round_operator_action,
     set_agreement_action,
     view_of,

@@ -1,9 +1,11 @@
 """Command-line surface for batch experiments.
 
 Model specs name either the initial model ("initial"), an action model
-("is", "bc", "sa:K", "sa-trivial", "round:FILE"), or a product of the
-initial model with an action ("I[is]", "I[sa:1]", ...). In solve and
-obstruct commands a bare action token is shorthand for its product.
+("is", "bc", "sa:K", "sa-trivial", "round:FILE", "round:waitfree"), or a
+product of the initial model with an action ("I[is]", "I[sa:1]", ...). In
+solve and obstruct commands a bare action token is shorthand for its
+product. A round protocol names its adversary in its spec, and
+`obstruct --gen adversary` reads the adversary from there.
 
 Exit codes: 0 affirmative, 1 negative verdict, 2 usage error,
 3 resource limit.
@@ -77,7 +79,15 @@ def _default_inputs(tokens, n: int) -> tuple[int, ...]:
     return (0, 1)
 
 
-def _build_action(token: str, n: int, inputs, args) -> tasks.ActionModel:
+def _round_adversary(spec: str, n: int) -> adversaries.Adversary:
+    """The adversary of a `round:FILE` or `round:waitfree` spec, bare or in I[...]."""
+    token = _action_tokens(spec)
+    if token is None or not token.startswith("round:"):
+        raise UsageError(f"{spec!r} names no adversary: use round:FILE or round:waitfree")
+    return _load_adversary(token.split(":", 1)[1], n)
+
+
+def _build_action(token: str, n: int, inputs) -> tasks.ActionModel:
     if token == "is":
         return tasks.immediate_snapshot_action(n, inputs)
     if token == "bc":
@@ -93,21 +103,15 @@ def _build_action(token: str, n: int, inputs, args) -> tasks.ActionModel:
             raise UsageError(f"bad agreement bound in {token!r}")
         return tasks.set_agreement_action(n, k, inputs)
     if token.startswith("round"):
-        if token.startswith("round:"):
-            source = token.split(":", 1)[1]
-        elif args.adversary is not None:
-            source = args.adversary
-        else:
-            raise UsageError("round spec needs an adversary (round:FILE or --adversary)")
-        return tasks.round_operator_action(n, _load_adversary(source, n), inputs)
+        return tasks.round_operator_action(n, _round_adversary(token, n), inputs)
     raise UsageError(f"unknown model spec {token!r}")
 
 
-def _product_model(spec: str, n: int, inputs, args) -> models.SimplicialModel:
+def _product_model(spec: str, n: int, inputs) -> models.SimplicialModel:
     token = _action_tokens(spec)
     if token is None:
         raise UsageError(f"spec {spec!r} does not name a product model")
-    action = _build_action(token, n, inputs, args)
+    action = _build_action(token, n, inputs)
     return tasks.apply_action(tasks.initial_model(n, inputs), action)
 
 
@@ -115,7 +119,7 @@ def _product_models(args, first: str, second: str) -> list[models.SimplicialMode
     """The product models of two specs, in order, over shared default inputs."""
     tokens = [_action_tokens(first), _action_tokens(second)]
     inputs = args.inputs or _default_inputs(tokens, args.n)
-    return [_product_model(spec, args.n, inputs, args) for spec in (first, second)]
+    return [_product_model(spec, args.n, inputs) for spec in (first, second)]
 
 
 def _emit(pieces: list[str], out: str | None) -> None:
@@ -217,9 +221,9 @@ def cmd_build(args) -> int:
     if token is None:
         built = tasks.initial_model(args.n, inputs)
     elif args.spec.startswith("I["):
-        built = _product_model(args.spec, args.n, inputs, args)
+        built = _product_model(args.spec, args.n, inputs)
     else:
-        built = _build_action(token, args.n, inputs, args)
+        built = _build_action(token, args.n, inputs)
     _write_built(built, args.format, args.out)
     return 0
 
@@ -257,13 +261,7 @@ def cmd_obstruct(args) -> int:
             raise UsageError(f"bad agreement bound in {args.gen!r}")
         phi = generators.waitfree_kset_obstruction(args.n, k)
     elif args.gen == "adversary":
-        source = args.adversary
-        protocol_token = _action_tokens(args.protocol)
-        if source is None and protocol_token and protocol_token.startswith("round:"):
-            source = protocol_token.split(":", 1)[1]
-        if source is None:
-            raise UsageError("generator adversary needs --adversary or a round protocol")
-        phi = generators.adversary_obstruction(args.n, _load_adversary(source, args.n))
+        phi = generators.adversary_obstruction(args.n, _round_adversary(args.protocol, args.n))
     else:
         raise UsageError(f"unknown generator {args.gen!r}")
 
@@ -345,7 +343,6 @@ def _make_parser() -> argparse.ArgumentParser:
             help="dimension: agents are 0..n",
         )
         p.add_argument("--inputs", type=_inputs_arg, default=None, help="comma-separated input values")
-        p.add_argument("--adversary", default=None, help="adversary file, or 'waitfree'")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_build = sub.add_parser("build", help="construct and export a model")

@@ -1,4 +1,4 @@
-"""Pure chromatic simplicial complexes and their cartesian products.
+"""Pure chromatic simplicial complexes, their product facets and JSON form.
 
 A vertex is the pair (color, observation) of one process; a facet is the
 tuple of its vertices, one per color in color order; a complex is determined
@@ -224,23 +224,10 @@ class ChromaticComplex:
         return f"ChromaticComplex(n={self.n}, facets={len(self.facets)})"
 
 
-def shared_colors(x: Facet, y: Facet) -> frozenset[int]:
-    """Colors of the vertices the two facets have in common."""
-    other = set(y)
-    return frozenset(v.color for v in x if v in other)
-
-
 def facet_texts(c: ChromaticComplex) -> list[str]:
     """`Facet.text()` of every facet in order, rendering each distinct vertex once."""
     texts = {v: v.text() for v in c.vertices()}
     return [" ".join(map(texts.__getitem__, f)) for f in c.facets]
-
-
-def cartesian_product(c: ChromaticComplex, d: ChromaticComplex) -> ChromaticComplex:
-    """Componentwise product: each vertex pairs the two observations of a color."""
-    if c.n != d.n:
-        raise ValueError(f"dimension mismatch: {c.n} vs {d.n}")
-    return ChromaticComplex(c.n, _product_facets(c, d, ((x, d.facets) for x in c.facets)))
 
 
 def _product_facets(c: ChromaticComplex, d: ChromaticComplex, pairs) -> list[Facet]:
@@ -269,40 +256,6 @@ def _product_facets(c: ChromaticComplex, d: ChromaticComplex, pairs) -> list[Fac
                 vs = tuple(map(make, map(add, base, rows[y])))
             facets.append(_facet(vs))
     return facets
-
-
-def product_facet(x: Facet, y: Facet) -> Facet:
-    """Pair each vertex of x with y's vertex of the same color."""
-    # A facet's colors are distinct integers in increasing order, so two
-    # facets with the same first and last colors, each holding every color
-    # in between, have the same colors.
-    same = (
-        x[0].color == y[0].color
-        and x[-1].color == y[-1].color
-        and len(x) == len(y) == x[-1].color - x[0].color + 1
-    )
-    ys = y if same else [y.vertex(v.color) for v in x]
-    return Facet(Vertex(v.color, (v.obs, w.obs)) for v, w in zip(x, ys))
-
-
-def _pair_obs(obs: Obs) -> tuple:
-    if isinstance(obs, tuple) and len(obs) == 2:
-        return obs
-    raise ValueError(f"not a product observation: {obs_text(obs)}")
-
-
-def project_left(z: Facet) -> Facet:
-    """First component of a product facet, a color-preserving simplicial map."""
-    return Facet(Vertex(v.color, _pair_obs(v.obs)[0]) for v in z)
-
-
-def project_right(z: Facet) -> Facet:
-    """Second component of a product facet."""
-    return Facet(Vertex(v.color, _pair_obs(v.obs)[1]) for v in z)
-
-
-def left_of(v: Vertex) -> Vertex:
-    return Vertex(v.color, _pair_obs(v.obs)[0])
 
 
 def complex_to_json(c: ChromaticComplex) -> dict:

@@ -140,10 +140,6 @@ def distributed(agents: Iterable[int], phi: Formula) -> Formula:
 TRUE = not_(FALSE)
 
 
-def has_modal(phi: Formula) -> bool:
-    return phi.modal
-
-
 def is_positive(phi: Formula) -> bool:
     """True when no knowledge operator occurs inside a negation."""
     return phi.positive

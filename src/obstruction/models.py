@@ -6,6 +6,7 @@ the vertex observation itself or, for product models, from its left half.
 """
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
@@ -18,7 +19,6 @@ from .complexes import (
     complex_from_json,
     complex_to_json,
     facet_texts,
-    shared_colors,
 )
 from .formulas import Formula, agents_of
 
@@ -58,9 +58,6 @@ class SimplicialModel:
     @property
     def n(self) -> int:
         return self.complex.n
-
-    def agents(self) -> range:
-        return range(self.complex.n + 1)
 
     def atoms_of(self, facet: Facet) -> frozenset:
         return self._atoms[self.complex.index(facet)]
@@ -170,23 +167,15 @@ class SimplicialModel:
         failing = _bits(self._all ^ self._mask(phi))
         return [self.complex.facets[i] for i in islice(failing, cap)]
 
-    def _block(self, facet: Facet, kind: str, agents) -> list[Facet]:
-        """The facets of the `kind` block over `agents` that holds `facet`."""
+    def common_reach(self, facet: Facet, agents) -> frozenset[Facet]:
+        """Facets reachable by chains of indistinguishability steps in `agents`."""
         idx = self.complex.index(facet)
         group = frozenset(agents)
         for a in group:
             if not 0 <= a <= self.complex.n:
                 raise KeyError(f"no vertex of color {a}")
-        block = next(b for b in self._blocks(kind, group) if b >> idx & 1)
-        return [self.complex.facets[i] for i in _bits(block)]
-
-    def common_reach(self, facet: Facet, agents) -> frozenset[Facet]:
-        """Facets reachable by chains of indistinguishability steps in `agents`."""
-        return frozenset(self._block(facet, "common", agents))
-
-    def distributed_related(self, facet: Facet, agents) -> frozenset[Facet]:
-        """Facets sharing this facet's vertex for every agent in `agents`."""
-        return frozenset(self._block(facet, "dist", agents))
+        block = next(b for b in self._blocks("common", group) if b >> idx & 1)
+        return frozenset(self.complex.facets[i] for i in _bits(block))
 
 
 def _atom_masks(atoms: tuple[frozenset, ...]) -> dict[tuple[int, int], int]:
@@ -335,17 +324,28 @@ def model_from_json(data: dict) -> SimplicialModel:
 
 
 def complex_to_dot(complex: ChromaticComplex, name: str = "model") -> str:
-    """Graphviz rendering of the adjacency graph, edges labeled by shared agents."""
+    """Graphviz rendering of the adjacency graph, edges labeled by shared agents.
+
+    Facets are adjacent when they share a vertex, so each facet's edges to
+    later facets are read off its vertices' stars (their facet ids,
+    ascending), in color order, instead of testing every pair of facets.
+    """
     lines = [f"graph {name} {{", "  node [shape=box];"]
-    facets = complex.facets
     for i, text in enumerate(facet_texts(complex)):
         lines.append(f'  f{i} [label="{text}"];')
-    for i in range(len(facets)):
-        for j in range(i + 1, len(facets)):
-            agents = sorted(shared_colors(facets[i], facets[j]))
-            if agents:
-                label = ",".join(str(a) for a in agents)
-                lines.append(f'  f{i} -- f{j} [label="{label}"];')
+    ids = complex.vertex_id
+    stars: list[list[int]] = [[] for _ in ids]
+    for i, facet in enumerate(complex.facets):
+        for v in facet:
+            stars[ids[v]].append(i)
+    for i, facet in enumerate(complex.facets):
+        shared: dict[int, list[str]] = {}
+        for v in facet:
+            star, color = stars[ids[v]], str(v.color)
+            for j in star[bisect_right(star, i):]:
+                shared.setdefault(j, []).append(color)
+        for j in sorted(shared):
+            lines.append(f'  f{i} -- f{j} [label="{",".join(shared[j])}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -27,6 +27,7 @@ from .complexes import (
     complex_from_json,
     vertex_table,
     _facet,
+    _json_field,
     _product_facets,
 )
 from .formulas import Formula, and_, atom, or_, parse, render
@@ -243,14 +244,6 @@ def input_of(facet: Facet, agent: int) -> int:
     raise ValueError(f"vertex of color {agent} carries no input component")
 
 
-def output_of(facet: Facet, agent: int) -> int:
-    """Decision value at the agent's vertex of a decision-task product facet."""
-    obs = facet.obs(agent)
-    if isinstance(obs, tuple) and len(obs) == 2 and isinstance(obs[1], int):
-        return obs[1]
-    raise ValueError(f"vertex of color {agent} carries no decision component")
-
-
 def view_of(facet: Facet, agent: int) -> frozenset:
     """Snapshot view at the agent's vertex of a protocol (or action) facet."""
     obs = facet.obs(agent)
@@ -264,15 +257,6 @@ def view_of(facet: Facet, agent: int) -> frozenset:
 def seen_agents(facet: Facet, agent: int) -> frozenset[int]:
     """Agents whose writes appear in this agent's view."""
     return frozenset(b for b, _ in view_of(facet, agent))
-
-
-def min_view(facet: Facet) -> frozenset[int]:
-    """Agents seen by everybody: the least element of the view chain."""
-    sets = [seen_agents(facet, a) for a in range(len(facet))]
-    least = sets[0]
-    for s in sets[1:]:
-        least &= s
-    return least
 
 
 # -- serialization -----------------------------------------------------------
@@ -298,4 +282,5 @@ def action_from_json(data: dict) -> ActionModel:
         if not isinstance(text, str):
             raise ValueError(f"facet {i} lacks a precondition")
         pre[facet] = parse(text)
-    return ActionModel(complex, pre, data.get("name", "imported"))
+    name = _json_field(data, "name", str, "action document") if "name" in data else "imported"
+    return ActionModel(complex, pre, name)

@@ -1,8 +1,10 @@
-"""Shared test utilities: facet locators, an independent naive evaluator, the
-per-pair product update, the view-action builder over checked `Facet`s,
-point-form morphism and knowledge checks, the plain backtracking reference
-for the decision-map search, and the direct constructions that the package
-now derives from general builders (round view vectors by product-then-filter,
+"""Shared test utilities: facet locators and point-form facet operations
+(shared colors, per-pair product facets, projections, decision values, least
+views), an independent naive evaluator, the per-pair product update, the
+view-action reference over checked `Facet`s, point-form morphism and
+knowledge checks, the pairwise DOT export, the plain backtracking reference
+for the decision-map search, and direct constructions of what the package
+derives from general code (round view vectors by product-then-filter,
 immediate snapshot vectors from ordered set partitions, the inductive
 wait-free k-agreement obstruction)."""
 
@@ -13,10 +15,9 @@ from obstruction.complexes import (
     ChromaticComplex,
     Facet,
     Vertex,
+    _product_facets,
+    facet_texts,
     obs_key,
-    product_facet,
-    project_left,
-    shared_colors,
     vertex_table,
 )
 from obstruction.formulas import Formula, atom, distributed, know, not_, or_
@@ -29,6 +30,41 @@ from obstruction.tasks import (
     pin_formula,
     seen_agents,
 )
+
+
+def shared_colors(x: Facet, y: Facet) -> frozenset[int]:
+    """Colors of the vertices the two facets have in common."""
+    return frozenset(v.color for v in set(x) & set(y))
+
+
+def product_facet(x: Facet, y: Facet) -> Facet:
+    """Pair each vertex of x with y's vertex of the same color."""
+    return Facet(Vertex(v.color, (v.obs, y.vertex(v.color).obs)) for v in x)
+
+
+def project_left(z: Facet) -> Facet:
+    """First component of a product facet."""
+    return Facet(Vertex(v.color, v.obs[0]) for v in z)
+
+
+def project_right(z: Facet) -> Facet:
+    """Second component of a product facet."""
+    return Facet(Vertex(v.color, v.obs[1]) for v in z)
+
+
+def cartesian_product(c: ChromaticComplex, d: ChromaticComplex) -> ChromaticComplex:
+    """The package's `_product_facets` run on every pair of facets."""
+    return ChromaticComplex(c.n, _product_facets(c, d, ((x, d.facets) for x in c.facets)))
+
+
+def output_of(facet: Facet, agent: int) -> int:
+    """Decision value at the agent's vertex of a decision-task product facet."""
+    return facet.obs(agent)[1]
+
+
+def min_view(facet: Facet) -> frozenset[int]:
+    """Agents seen by everybody: the least element of the view chain."""
+    return frozenset.intersection(*(seen_agents(facet, a) for a in range(len(facet))))
 
 
 def facet_with_values(model: SimplicialModel, values) -> Facet:
@@ -119,6 +155,23 @@ def naive_product_update(model: SimplicialModel, action: ActionModel) -> Simplic
         if naive_satisfies(model, x, action.pre[y])
     ]
     return induce_model(ChromaticComplex(model.complex.n, kept), "left")
+
+
+def pairwise_dot(complex: ChromaticComplex, name: str = "model") -> str:
+    """Reference for `models.complex_to_dot`: one edge per pair of facets
+    that share colors, found by testing every pair."""
+    lines = [f"graph {name} {{", "  node [shape=box];"]
+    facets = complex.facets
+    for i, text in enumerate(facet_texts(complex)):
+        lines.append(f'  f{i} [label="{text}"];')
+    for i in range(len(facets)):
+        for j in range(i + 1, len(facets)):
+            agents = sorted(shared_colors(facets[i], facets[j]))
+            if agents:
+                label = ",".join(str(a) for a in agents)
+                lines.append(f'  f{i} -- f{j} [label="{label}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def reference_view_action(n: int, vectors, inputs, name: str) -> ActionModel:

@@ -9,7 +9,6 @@ import time
 from itertools import product as iter_product
 
 from obstruction.adversaries import from_survivor_sets, waitfree
-from obstruction.complexes import project_left, shared_colors
 from obstruction.formulas import is_positive
 from obstruction.generators import (
     adversary_obstruction,
@@ -39,7 +38,7 @@ from obstruction.tasks import (
 )
 
 from conftest import build_demo_model
-from helpers import facet_with_values, map_facet, protocol_facet
+from helpers import facet_with_values, map_facet, project_left, protocol_facet, shared_colors
 
 
 class timer:

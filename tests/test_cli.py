@@ -7,7 +7,13 @@ from obstruction import cli
 from obstruction.cli import main
 from obstruction.complexes import Vertex
 from obstruction.models import model_to_json
-from obstruction.tasks import apply_action, immediate_snapshot_action, initial_model
+from obstruction.tasks import (
+    action_to_json,
+    apply_action,
+    immediate_snapshot_action,
+    initial_model,
+    set_agreement_action,
+)
 
 from conftest import build_demo_model
 
@@ -80,7 +86,23 @@ def test_build_unknown_spec_is_usage_error(capsys):
 def test_build_round_requires_adversary(capsys):
     code, _, err = run(capsys, "build", "round", "--n", "1")
     assert code == 2
-    assert "adversary" in err
+    assert "round:FILE" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "is", "--n", "1"],
+        ["solve", "I[is]", "I[bc]", "--n", "1"],
+        ["obstruct", "I[sa:1]", "round:waitfree", "--gen", "adversary", "--n", "2"],
+    ],
+    ids=["build", "solve", "obstruct"],
+)
+def test_adversary_flag_is_gone(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--adversary", "waitfree"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --adversary" in capsys.readouterr().err
 
 
 def test_build_has_no_k_flag(capsys):
@@ -159,6 +181,13 @@ def test_obstruct_adversary_round(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["is_obstruction"] is True
+
+
+def test_obstruct_adversary_generator_needs_a_round_protocol(capsys):
+    code, out, err = run(capsys, "obstruct", "I[sa:1]", "I[is]", "--gen", "adversary", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert "round:FILE" in err
 
 
 def test_obstruct_reports_honest_negative(tmp_path, capsys):
@@ -373,6 +402,30 @@ def test_malformed_adversary_file_is_usage_error(tmp_path, capsys, doc, message)
     assert code == 2
     assert out == ""
     assert err == f"error: bad adversary file {str(path)!r}: {message}\n"
+
+
+def _action_doc(**fields):
+    return {**action_to_json(set_agreement_action(1, 1)), **fields}
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (
+            _action_doc(name=[1, {"x": 2}]),
+            "malformed action document: 'name' must be of type str, got list",
+        ),
+        (_action_doc(pre={}), "facet 0 lacks a precondition"),
+    ],
+    ids=["name-not-str", "pre-missing-facet"],
+)
+def test_malformed_action_file_is_usage_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "export", str(path), "--format", "text")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_solve_beyond_the_recursion_limit(tmp_path, capsys):

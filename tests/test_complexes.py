@@ -5,17 +5,11 @@ from obstruction.complexes import (
     ChromaticComplex,
     Facet,
     Vertex,
-    cartesian_product,
     complex_from_json,
     complex_to_json,
-    left_of,
     obs_from_json,
     obs_key,
     obs_to_json,
-    product_facet,
-    project_left,
-    project_right,
-    shared_colors,
 )
 from obstruction.cli import main
 from obstruction.tasks import (
@@ -27,7 +21,15 @@ from obstruction.tasks import (
     set_agreement_action,
 )
 
-from helpers import assert_checked_facets, facet_with_values
+from helpers import (
+    assert_checked_facets,
+    cartesian_product,
+    facet_with_values,
+    product_facet,
+    project_left,
+    project_right,
+    shared_colors,
+)
 
 
 def test_demo_complex_shape(demo_model):
@@ -105,13 +107,6 @@ def test_product_with_consensus_actions_before_filtering():
     assert_checked_facets(inputs)
 
 
-def test_product_dimension_mismatch():
-    c = _complex_of_values(1, [(0, 0)])
-    d = _complex_of_values(0, [(0,)])
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        cartesian_product(c, d)
-
-
 def test_product_matches_per_pair_product_facet():
     inputs = initial_complex(2, [0, 1, 2])
     views = immediate_snapshot_action(2, [0, 1]).complex
@@ -132,13 +127,6 @@ def test_projections_invert_pairing():
             z = product_facet(x, y)
             assert project_left(z) == x
             assert project_right(z) == y
-            for v in z.vertices:
-                assert left_of(v) == x.vertex(v.color)
-
-
-def test_projection_rejects_plain_facet():
-    with pytest.raises(ValueError, match="not a product"):
-        project_left(Facet([Vertex(0, 3)]))
 
 
 def test_consensus_product_right_projection():

@@ -12,7 +12,6 @@ from obstruction.formulas import (
     atom,
     common,
     distributed,
-    has_modal,
     is_positive,
     know,
     not_,
@@ -177,5 +176,5 @@ def test_node_facts_match_recursive_definitions(seed, depth):
     drawn = random_positive_formula(rng, [0, 1, 2], [0, 1], depth=depth)
     for phi in (drawn, not_(drawn)):
         assert agents_of(phi) == _plain_mentions(phi)
-        assert has_modal(phi) == _plain_modal(phi)
+        assert phi.modal == _plain_modal(phi)
         assert is_positive(phi) == _plain_positive(phi)

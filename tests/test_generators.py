@@ -21,14 +21,12 @@ from obstruction.tasks import (
     immediate_snapshot_action,
     initial_model,
     input_of,
-    min_view,
-    output_of,
     round_operator_action,
     seen_agents,
     set_agreement_action,
 )
 
-from helpers import inductive_waitfree_obstruction, protocol_facet
+from helpers import inductive_waitfree_obstruction, min_view, output_of, protocol_facet
 
 
 TWO_OF_THREE = [{0, 1}, {1, 2}, {0, 2}]
@@ -213,6 +211,7 @@ def test_waitfree_obstruction_is_the_inductive_formula():
     for n in range(1, 5):
         for k in range(1, n + 1):
             assert waitfree_kset_obstruction(n, k) is inductive_waitfree_obstruction(n, k)
+        assert adversary_obstruction(n, waitfree(n)) is waitfree_kset_obstruction(n, n)
 
 
 def test_generalized_waitfree_matches_inductive_formula_semantically():

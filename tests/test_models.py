@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obstruction.adversaries import waitfree
 from obstruction.complexes import ChromaticComplex, Facet, Vertex
 from obstruction.formulas import (
     FALSE,
@@ -25,9 +26,22 @@ from obstruction.models import (
     morphism_violation,
 )
 from obstruction.solver import random_positive_formula
-from obstruction.tasks import apply_action, binary_consensus_action, initial_model
+from obstruction.tasks import (
+    apply_action,
+    binary_consensus_action,
+    initial_model,
+    pin_formula,
+    round_operator_action,
+)
 
-from helpers import facet_with_values, map_facet, naive_satisfies
+from helpers import (
+    facet_with_values,
+    map_facet,
+    naive_satisfies,
+    pairwise_dot,
+    project_left,
+    shared_colors,
+)
 
 
 def someone_has(value):
@@ -45,8 +59,6 @@ def test_single_facet_label():
 
 
 def test_product_labels_use_left_half():
-    from obstruction.complexes import project_left
-
     model = apply_action(initial_model(1, [0, 1]), binary_consensus_action(1))
     for f in model.complex.facets:
         left = project_left(f)
@@ -104,18 +116,26 @@ def test_common_reach_without_agents_is_reflexive(demo_model):
         assert demo_model.common_reach(f, set()) == frozenset({f})
 
 
+def distributed_block(model, facet, agents):
+    """The facets `D[agents]` quantifies over at `facet`: y is among them
+    exactly when `D[agents] ~pin(y)` fails there (demo facets have distinct
+    input vectors, so a pin holds at one facet only)."""
+    return {
+        y for y in model.complex.facets
+        if not model.satisfies(facet, distributed(agents, not_(pin_formula(y))))
+    }
+
+
 def test_distributed_relation_demo_cases(demo_model):
     x3 = facet_with_values(demo_model, (0, 3, 2))
     x4 = facet_with_values(demo_model, (0, 1, 2))
-    assert demo_model.distributed_related(x3, {0, 1}) == frozenset({x3})
-    assert demo_model.distributed_related(x3, {0, 2}) == frozenset({x3, x4})
+    assert distributed_block(demo_model, x3, {0, 1}) == {x3}
+    assert distributed_block(demo_model, x3, {0, 2}) == {x3, x4}
 
 
 def test_distributed_relation_empty_group_is_universal(demo_model):
     x1 = facet_with_values(demo_model, (2, 1, 0))
-    assert demo_model.distributed_related(x1, set()) == frozenset(
-        demo_model.complex.facets
-    )
+    assert distributed_block(demo_model, x1, set()) == set(demo_model.complex.facets)
 
 
 def test_agent_out_of_range_rejected(demo_model):
@@ -142,8 +162,6 @@ def test_relation_queries_reject_agents_outside_the_model(demo_model, agent):
     f = demo_model.complex.facets[0]
     with pytest.raises(KeyError, match="no vertex of color"):
         demo_model.common_reach(f, {0, agent})
-    with pytest.raises(KeyError, match="no vertex of color"):
-        demo_model.distributed_related(f, {agent})
 
 
 @pytest.mark.parametrize("cap", [0, -3])
@@ -180,8 +198,6 @@ def test_common_reach_monotone_in_agents(demo_model):
 
 def test_indistinguishability_is_an_equivalence(demo_model):
     facets = demo_model.complex.facets
-    from obstruction.complexes import shared_colors
-
     for a in range(3):
         related = {
             (x, y) for x in facets for y in facets if a in shared_colors(x, y)
@@ -207,7 +223,7 @@ def test_memoized_evaluation_matches_naive(demo_model):
     ]
     rng = random.Random(7)
     for model in models:
-        agents = list(model.agents())
+        agents = list(range(model.n + 1))
         values = sorted({v for f in model.complex.facets for _, v in model.atoms_of(f)})
         for _ in range(60):
             phi = random_positive_formula(rng, agents, values, depth=rng.randint(1, 4))
@@ -372,10 +388,11 @@ def test_product_model_json_round_trip():
 
 
 def test_dot_export_lists_facets_and_edges(demo_model):
-    dot = complex_to_dot(demo_model.complex)
-    assert dot.count("[label=") >= 5
-    assert "f0 --" in dot
-    assert dot == complex_to_dot(demo_model.complex)
+    waitfree2 = apply_action(initial_model(2, [0, 1, 2]), round_operator_action(2, waitfree(2)))
+    for model in (demo_model, waitfree2):
+        dot = complex_to_dot(model.complex)
+        assert "f0 --" in dot
+        assert dot == pairwise_dot(model.complex)
 
 
 def test_formula_evaluation_agrees_with_parse(demo_model):

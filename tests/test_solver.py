@@ -3,7 +3,7 @@ import random
 import pytest
 
 from obstruction.adversaries import from_survivor_sets, waitfree
-from obstruction.complexes import Vertex, project_left
+from obstruction.complexes import Vertex
 from obstruction.formulas import atom, is_positive, know, not_
 from obstruction.generators import binary_consensus_obstruction, verify_obstruction
 from obstruction.models import SimplicialModel, check_morphism
@@ -24,7 +24,13 @@ from obstruction.tasks import (
     set_agreement_action,
 )
 
-from helpers import map_facet, naive_find_morphism, naive_knowledge_gain
+from helpers import (
+    map_facet,
+    naive_find_morphism,
+    naive_knowledge_gain,
+    project_left,
+    shared_colors,
+)
 
 
 def snapshot_protocol(n=1, inputs=(0, 1)):
@@ -164,8 +170,6 @@ def test_obstruction_and_search_agree_on_all_small_instances():
 
 
 def test_witness_respects_intersections_up_to_inclusion():
-    from obstruction.complexes import shared_colors
-
     protocol = snapshot_protocol()
     task = trivial_task()
     witness = find_morphism(protocol, task).witness

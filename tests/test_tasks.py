@@ -1,14 +1,7 @@
 import pytest
 
 from obstruction.adversaries import from_survivor_sets, waitfree
-from obstruction.complexes import (
-    Facet,
-    Vertex,
-    complex_from_json,
-    complex_to_json,
-    project_right,
-    shared_colors,
-)
+from obstruction.complexes import Facet, Vertex, complex_from_json, complex_to_json
 from obstruction.formulas import FALSE, render
 from obstruction.tasks import (
     ActionModel,
@@ -22,9 +15,7 @@ from obstruction.tasks import (
     initial_model,
     input_of,
     is_immediate,
-    min_view,
     ordered_set_partitions,
-    output_of,
     round_operator_action,
     seen_agents,
     set_agreement_action,
@@ -35,11 +26,15 @@ from obstruction.tasks import (
 from helpers import (
     assert_checked_facets,
     facet_with_values,
+    min_view,
     naive_product_update,
+    output_of,
     partition_view_vectors,
     product_view_vectors,
+    project_right,
     protocol_facet,
     reference_view_action,
+    shared_colors,
 )
 
 
@@ -367,14 +362,6 @@ def test_view_accessor_rejects_decision_models():
     f = model.complex.facets[0]
     with pytest.raises(ValueError, match="no view"):
         view_of(f, 0)
-
-
-def test_output_accessor_rejects_view_models():
-    model = apply_action(initial_model(1, [0, 1]), immediate_snapshot_action(1, [0, 1]))
-    f = model.complex.facets[0]
-    with pytest.raises(ValueError, match="no decision"):
-        output_of(f, 0)
-    assert input_of(f, 0) in (0, 1)
 
 
 def test_input_accessor_rejects_plain_facets():
