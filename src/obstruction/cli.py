@@ -39,8 +39,6 @@ def _inputs_arg(text: str) -> tuple[int, ...]:
         values = tuple(int(part) for part in text.replace("{", "").replace("}", "").split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad input list {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("input list is empty")
     return values
 
 
@@ -396,6 +394,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
         return 2
 
 

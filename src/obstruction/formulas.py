@@ -140,16 +140,6 @@ def distributed(agents: Iterable[int], phi: Formula) -> Formula:
 TRUE = not_(FALSE)
 
 
-def is_positive(phi: Formula) -> bool:
-    """True when no knowledge operator occurs inside a negation."""
-    return phi.positive
-
-
-def agents_of(phi: Formula) -> frozenset[int]:
-    """All agent ids mentioned by atoms or modal operators."""
-    return phi.mentions
-
-
 _LEVEL = {
     "false": 3,
     "atom": 3,

@@ -22,7 +22,6 @@ from .formulas import (
     atom,
     common,
     distributed,
-    is_positive,
     know,
     not_,
     or_,
@@ -147,9 +146,7 @@ def waitfree_kset_obstruction(n: int, k: int) -> Formula:
 @dataclass(frozen=True)
 class ObstructionReport:
     formula: Formula
-    positive: bool
     task_verdict: Verdict
-    protocol_verdict: Verdict
     protocol_counterexamples: tuple[Facet, ...]
     counterexample_ids: tuple[int, ...]
     is_obstruction: bool
@@ -164,25 +161,21 @@ def verify_obstruction(
     """Check positivity, validity in the task, and refutation in the protocol."""
     if task.complex.n != protocol.complex.n:
         raise ValueError("task and protocol must share the agent set")
-    positive = is_positive(phi)
     task_verdict = task.validity(phi)
     counterexamples = protocol.counterexamples(phi, cap)
-    protocol_verdict = Verdict(counterexamples[0] if counterexamples else None)
     return ObstructionReport(
         formula=phi,
-        positive=positive,
         task_verdict=task_verdict,
-        protocol_verdict=protocol_verdict,
         protocol_counterexamples=tuple(counterexamples),
         counterexample_ids=tuple(protocol.complex.index(f) for f in counterexamples),
-        is_obstruction=positive and task_verdict.is_valid and bool(counterexamples),
+        is_obstruction=phi.positive and task_verdict.is_valid and bool(counterexamples),
     )
 
 
 def report_to_json(report: ObstructionReport) -> dict:
     return {
         "formula": render(report.formula),
-        "positive": report.positive,
+        "positive": report.formula.positive,
         "task_valid": report.task_verdict.is_valid,
         "protocol_counterexamples": list(report.counterexample_ids),
         "is_obstruction": report.is_obstruction,

@@ -20,7 +20,7 @@ from .complexes import (
     complex_to_json,
     facet_texts,
 )
-from .formulas import Formula, agents_of
+from .formulas import Formula
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class SimplicialModel:
     # -- satisfaction ------------------------------------------------------
 
     def _validate_agents(self, phi: Formula) -> None:
-        bad = sorted(a for a in agents_of(phi) if a < 0 or a > self.complex.n)
+        bad = sorted(a for a in phi.mentions if a < 0 or a > self.complex.n)
         if bad:
             raise ValueError(
                 f"agent ids {bad} outside this model's range 0..{self.complex.n}"
@@ -237,34 +237,25 @@ def induce_model(complex: ChromaticComplex, projection: str = "obs") -> Simplici
     return SimplicialModel(complex, tuple(map(atoms.__getitem__, keys)))
 
 
-def facet_images(
-    delta: dict[Vertex, Vertex],
-    source: ChromaticComplex,
-    target: ChromaticComplex,
-) -> list[int | None]:
-    """Per source facet, the id of the target facet `delta` maps it onto, or
-    None; facets compare as tuples of the target's vertex ids, one lookup per
-    source vertex."""
-    ids = target.vertex_id
-    by_ids = {tuple(map(ids.__getitem__, f)): j for j, f in enumerate(target.facets)}
-    image = {v: ids.get(delta[v]) for v in source.vertices()}
-    return [by_ids.get(tuple(map(image.__getitem__, f))) for f in source.facets]
-
-
 def _morphism_images(
     delta: dict[Vertex, Vertex],
     source: SimplicialModel,
     target: SimplicialModel,
 ) -> tuple[str | None, list[int | None]]:
     """`morphism_violation`'s answer, with the facet images it checked (none
-    when a vertex fails first)."""
+    when a vertex fails first): per source facet, the id of the target facet
+    `delta` maps it onto, or None. Facets compare as tuples of the target's
+    vertex ids, one lookup per source vertex."""
     for v in source.complex.vertices():
         image = delta.get(v)
         if image is None:
             return f"vertex {v.text()} is unmapped", []
         if image.color != v.color:
             return f"vertex {v.text()} maps to color {image.color}", []
-    images = facet_images(delta, source.complex, target.complex)
+    ids = target.complex.vertex_id
+    by_ids = {tuple(map(ids.__getitem__, f)): j for j, f in enumerate(target.complex.facets)}
+    image_id = {v: ids.get(delta[v]) for v in source.complex.vertices()}
+    images = [by_ids.get(tuple(map(image_id.__getitem__, f))) for f in source.complex.facets]
     for i, (facet, j) in enumerate(zip(source.complex.facets, images)):
         if j is None:
             return f"facet {facet.text()} maps outside the target complex", images
@@ -280,15 +271,6 @@ def morphism_violation(
 ) -> str | None:
     """First reason `delta` fails to be a label-preserving simplicial map."""
     return _morphism_images(delta, source, target)[0]
-
-
-def check_morphism(
-    delta: dict[Vertex, Vertex],
-    source: SimplicialModel,
-    target: SimplicialModel,
-) -> bool:
-    """True when `delta` is color-preserving, simplicial, and label-preserving."""
-    return morphism_violation(delta, source, target) is None
 
 
 def model_to_json(model: SimplicialModel) -> dict:

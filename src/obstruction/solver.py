@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .complexes import Vertex
-from .formulas import Formula, atom, and_, or_, not_, know, common, distributed, is_positive
+from .formulas import Formula, atom, and_, or_, not_, know, common, distributed
 from .models import SimplicialModel, _bits, _morphism_images, morphism_violation
 
 
@@ -160,7 +160,7 @@ def knowledge_gain_check(
     """Positive truths must pull back along a morphism: target says, source says."""
     formulas = list(formulas)
     for phi in formulas:
-        if not is_positive(phi):
+        if not phi.positive:
             raise ValueError(f"formula is not positive: {phi}")
         source._validate_agents(phi)
         target._validate_agents(phi)

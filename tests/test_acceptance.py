@@ -9,14 +9,13 @@ import time
 from itertools import product as iter_product
 
 from obstruction.adversaries import from_survivor_sets, waitfree
-from obstruction.formulas import is_positive
 from obstruction.generators import (
     adversary_obstruction,
     binary_consensus_obstruction,
     greatest_fixed_subset,
     verify_obstruction,
 )
-from obstruction.models import check_morphism
+from obstruction.models import morphism_violation
 from obstruction.solver import (
     Solvability,
     find_morphism,
@@ -89,7 +88,7 @@ def test_criterion_2_consensus_impossibility_reproduction():
             assert len(snapshot.complex.facets) == 2 ** (n + 1) * partitions
             phi = binary_consensus_obstruction(n)
 
-            assert is_positive(phi)
+            assert phi.positive
             assert consensus.validity(phi).is_valid
             first_block_solo = [{0}] + [everyone] * n
             last_block_solo = [everyone] + [everyone - {0}] * n
@@ -124,7 +123,7 @@ def test_criterion_3a_waitfree_agreement_obstruction():
         for k in (1, 2):
             agreement = apply_action(initial, set_agreement_action(n, k))
             report = verify_obstruction(agreement, rounds, phi, cap=10_000)
-            assert report.positive
+            assert report.formula.positive
             assert report.is_obstruction
             assert lazy_facet in report.protocol_counterexamples
     _passed(3, "wait-free agreement obstruction at n=2 for k=1,2", clock)
@@ -141,7 +140,7 @@ def test_criterion_3b_two_of_three_adversary_obstruction():
         report = verify_obstruction(
             agreement, rounds, adversary_obstruction(n, adversary), cap=10_000
         )
-        assert report.positive
+        assert report.formula.positive
         assert report.is_obstruction
     _passed(3, "two-of-three adversary obstruction at n=2 for k=1", clock)
 
@@ -221,7 +220,7 @@ def test_criterion_6_morphism_search_cross_check():
             assert image in trivial.complex
             assert trivial.atoms_of(image) == snapshot.atoms_of(facet)
             assert project_left(image) == project_left(facet)
-        assert check_morphism(witness, snapshot, trivial)
+        assert morphism_violation(witness, snapshot, trivial) is None
     _passed(6, "search refutes consensus and solves the trivial task at n=1", clock)
 
 

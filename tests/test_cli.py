@@ -428,6 +428,35 @@ def test_malformed_action_file_is_usage_error(tmp_path, capsys, doc, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "formula,obs",
+    [
+        ("!" * 3000 + "false", "0"),
+        ("(" * 300 + "false" + ")" * 300, "0"),
+        ("false", "[" * 3000 + "0" + "]" * 3000),
+    ],
+    ids=["negations", "parentheses", "deep-obs"],
+)
+def test_deeply_nested_input_is_usage_error(tmp_path, capsys, formula, obs):
+    path = tmp_path / "model.json"
+    path.write_text(
+        '{"n": 0, "facets": [{"vertices": [{"color": 0, "obs": %s}]}], "atoms": [[[0, 0]]]}' % obs
+    )
+    code, out, err = run(capsys, "check", str(path), "--formula", formula)
+    assert code == 2
+    assert out == ""
+    assert err == "error: input nests too deeply\n"
+
+
+@pytest.mark.parametrize("text", ["", "{}"])
+def test_empty_input_list_is_rejected_by_the_parser(capsys, text):
+    with pytest.raises(SystemExit) as err:
+        main(["build", "initial", "--n", "1", "--inputs", text])
+    assert err.value.code == 2
+    _, stderr = capsys.readouterr()
+    assert stderr.endswith(f"error: argument --inputs: bad input list {text!r}\n")
+
+
 def test_solve_beyond_the_recursion_limit(tmp_path, capsys):
     # 1,856 protocol vertices: the search must not recurse once per vertex.
     adv = tmp_path / "sp.json"

@@ -7,12 +7,10 @@ from obstruction.formulas import (
     FALSE,
     TRUE,
     ParseError,
-    agents_of,
     and_,
     atom,
     common,
     distributed,
-    is_positive,
     know,
     not_,
     or_,
@@ -66,14 +64,14 @@ def test_nested_connectives_flatten():
 
 def test_positive_examples():
     p, q = atom(0, 0), atom(1, 1)
-    assert is_positive(and_(not_(q), common({0, 1}, not_(p))))
-    assert not is_positive(or_(p, not_(or_(q, common({0, 1}, p)))))
-    assert is_positive(p)
+    assert and_(not_(q), common({0, 1}, not_(p))).positive
+    assert not or_(p, not_(or_(q, common({0, 1}, p)))).positive
+    assert p.positive
 
 
 def test_positive_modal_under_negation_is_rejected():
-    assert not is_positive(not_(know(0, atom(0, 0))))
-    assert not is_positive(not_(distributed({0}, atom(0, 0))))
+    assert not not_(know(0, atom(0, 0))).positive
+    assert not not_(distributed({0}, atom(0, 0))).positive
 
 
 def test_render_parse_spec_shapes():
@@ -175,6 +173,6 @@ def test_node_facts_match_recursive_definitions(seed, depth):
     rng = random.Random(seed)
     drawn = random_positive_formula(rng, [0, 1, 2], [0, 1], depth=depth)
     for phi in (drawn, not_(drawn)):
-        assert agents_of(phi) == _plain_mentions(phi)
+        assert phi.mentions == _plain_mentions(phi)
         assert phi.modal == _plain_modal(phi)
-        assert is_positive(phi) == _plain_positive(phi)
+        assert phi.positive == _plain_positive(phi)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obstruction.adversaries import from_survivor_sets, waitfree
-from obstruction.formulas import FALSE, atom, is_positive, know, or_, parse
+from obstruction.formulas import FALSE, atom, know, or_, parse
 from obstruction.generators import (
     adversary_obstruction,
     adversary_obstruction_family,
@@ -87,7 +87,7 @@ def test_consensus_obstruction_shape_two_agents():
 
 def test_consensus_obstruction_positive():
     for n in (1, 2, 3):
-        assert is_positive(binary_consensus_obstruction(n))
+        assert binary_consensus_obstruction(n).positive
     with pytest.raises(ValueError):
         binary_consensus_obstruction(0)
 
@@ -127,7 +127,7 @@ def test_waitfree_obstruction_outer_groups():
 def test_waitfree_obstruction_positive_and_bounds():
     for n in (1, 2, 3):
         for k in range(1, n + 1):
-            assert is_positive(waitfree_kset_obstruction(n, k))
+            assert waitfree_kset_obstruction(n, k).positive
     with pytest.raises(ValueError):
         waitfree_kset_obstruction(2, 0)
     with pytest.raises(ValueError):
@@ -145,7 +145,7 @@ def test_waitfree_obstruction_valid_in_agreement_model():
 
 def test_adversary_obstruction_positive():
     for adv in (waitfree(2), from_survivor_sets(2, TWO_OF_THREE)):
-        assert is_positive(adversary_obstruction(2, adv))
+        assert adversary_obstruction(2, adv).positive
 
 
 def test_generated_formulas_never_quantify_over_nobody():
@@ -285,9 +285,9 @@ def test_consensus_obstruction_report():
     protocol = apply_action(initial, immediate_snapshot_action(n, [0, 1]))
     report = verify_obstruction(task, protocol, binary_consensus_obstruction(n))
     assert report.is_obstruction
-    assert report.positive
+    assert report.formula.positive
     assert report.task_verdict.is_valid
-    assert not report.protocol_verdict.is_valid
+    assert report.protocol_counterexamples[0] == protocol.validity(report.formula).counterexample
     assert report.protocol_counterexamples
     doc = report_to_json(report)
     assert doc["is_obstruction"] and doc["task_valid"] and doc["positive"]
@@ -301,7 +301,7 @@ def test_split_pair_adversary_with_four_agents():
     initial = initial_model(n, range(n + 1))
     rounds = apply_action(initial, round_operator_action(n, adv))
     phi = adversary_obstruction(n, adv)
-    assert is_positive(phi)
+    assert phi.positive
     agree_one = apply_action(initial, set_agreement_action(n, 1))
     report = verify_obstruction(agree_one, rounds, phi)
     assert report.is_obstruction

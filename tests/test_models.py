@@ -18,7 +18,6 @@ from obstruction.formulas import (
     parse,
 )
 from obstruction.models import (
-    check_morphism,
     complex_to_dot,
     induce_model,
     model_from_json,
@@ -316,7 +315,7 @@ def test_induce_model_names_the_first_bad_vertex_in_facet_order():
 
 def test_identity_is_a_morphism(demo_model):
     identity = {v: v for v in demo_model.complex.vertices()}
-    assert check_morphism(identity, demo_model, demo_model)
+    assert morphism_violation(identity, demo_model, demo_model) is None
 
 
 def test_collapsing_distinct_labels_is_not_a_morphism(demo_model):
@@ -324,7 +323,7 @@ def test_collapsing_distinct_labels_is_not_a_morphism(demo_model):
     x4 = facet_with_values(demo_model, (0, 1, 2))
     delta = {v: v for v in demo_model.complex.vertices()}
     delta[x3.vertex(1)] = x4.vertex(1)  # send b3 to b1, collapsing X3 onto X4
-    assert not check_morphism(delta, demo_model, demo_model)
+    assert morphism_violation(delta, demo_model, demo_model) is not None
     assert "labeling" in morphism_violation(delta, demo_model, demo_model)
 
 

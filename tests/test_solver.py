@@ -4,9 +4,9 @@ import pytest
 
 from obstruction.adversaries import from_survivor_sets, waitfree
 from obstruction.complexes import Vertex
-from obstruction.formulas import atom, is_positive, know, not_
+from obstruction.formulas import atom, know, not_
 from obstruction.generators import binary_consensus_obstruction, verify_obstruction
-from obstruction.models import SimplicialModel, check_morphism
+from obstruction.models import SimplicialModel, morphism_violation
 from obstruction.solver import (
     Solvability,
     find_morphism,
@@ -78,7 +78,7 @@ def test_trivial_task_solvable_with_verified_witness():
     for facet in protocol.complex.facets:
         assert project_left(map_facet(witness, facet)) == project_left(facet)
 
-    assert check_morphism(witness, protocol, task)
+    assert morphism_violation(witness, protocol, task) is None
     assert solution_violation(witness, protocol, task) is None
 
 
@@ -203,7 +203,7 @@ def test_knowledge_gain_on_discovered_witness():
     formulas = [
         random_positive_formula(rng, [0, 1], [0, 1], depth=3) for _ in range(100)
     ]
-    assert all(is_positive(phi) for phi in formulas)
+    assert all(phi.positive for phi in formulas)
     assert knowledge_gain_check(witness, protocol, task, formulas)
 
 
@@ -252,7 +252,7 @@ def test_solution_violation_reports_a_changed_input():
         v: Vertex(v.color, (1 - v.obs[0], 1 - v.obs[0]))
         for v in protocol.complex.vertices()
     }
-    assert check_morphism(flip, *blank)
+    assert morphism_violation(flip, *blank) is None
     problem = solution_violation(flip, *blank)
     assert problem.endswith("changes its input component"), problem
 
