@@ -12,7 +12,8 @@ object per distinct vertex across the facets of a complex (see
 `vertex_table`; products key theirs by the factors' vertex ids). A complex
 keeps its facets in `Facet.key` order, computed by ranking its distinct
 vertices once by `Vertex.key` and comparing facets by their tuples of
-integer ranks.
+integer ranks; a product complex takes both orders from its factors' vertex
+ids instead (see `_product_facets`).
 """
 
 from operator import add
@@ -157,6 +158,29 @@ def _facet(vertices: tuple[Vertex, ...]) -> Facet:
     return tuple.__new__(Facet, vertices)
 
 
+def _canonical(n: int, facets: Iterable[Facet]) -> tuple[list[Vertex], list[Facet]]:
+    """The distinct vertices of `facets` in `Vertex.key` order and the distinct
+    facets in `Facet.key` order, checked to hold the colors 0..n."""
+    unique = set(facets)
+    if not unique:
+        raise ValueError("a complex needs at least one facet")
+    # Vertex.key is injective, so comparing facets by the ranks of their
+    # vertices in Vertex.key order is the same as comparing Facet.key.
+    vertices = sorted(set().union(*unique), key=Vertex.key)
+    rank = {v: i for i, v in enumerate(vertices)}
+    canon = sorted(unique, key=lambda f: tuple(map(rank.__getitem__, f)))
+    # A facet's colors are distinct, so n + 1 of them drawn from 0..n are
+    # exactly 0..n; only a failing complex looks at each facet's colors.
+    expected = tuple(range(n + 1))
+    if not {v.color for v in vertices} <= set(expected) or set(map(len, canon)) != {n + 1}:
+        bad = next(f for f in canon if f.colors != expected)
+        raise ValueError(
+            f"facet colors {bad.colors} do not match dimension {n} "
+            f"(expected {expected})"
+        )
+    return vertices, canon
+
+
 class ChromaticComplex:
     """A pure chromatic complex of dimension n, stored by its facets.
 
@@ -168,29 +192,22 @@ class ChromaticComplex:
 
     __slots__ = ("n", "facets", "vertex_id", "_vertices", "_pos")
 
-    def __init__(self, n: int, facets: Iterable[Facet]):
+    def __init__(
+        self, n: int, facets: Iterable[Facet], vertices: tuple[Vertex, ...] | None = None
+    ):
+        """`vertices`, when given, are the facets' distinct vertices in
+        `Vertex.key` order, and `facets` are then taken as they are: distinct,
+        in `Facet.key` order and holding the colors 0..n. Only the product
+        builder, which knows that order from its factors, passes them."""
         if n < 0:
             raise ValueError("dimension must be nonnegative")
-        unique = set(facets)
-        # Vertex.key is injective, so comparing facets by the ranks of their
-        # vertices in Vertex.key order is the same as comparing Facet.key.
-        vertices = sorted(set().union(*unique), key=Vertex.key)
-        rank = {v: i for i, v in enumerate(vertices)}
-        canon = sorted(unique, key=lambda f: tuple(map(rank.__getitem__, f)))
-        if not canon:
+        if vertices is None:
+            vertices, facets = _canonical(n, facets)
+        elif not facets:
             raise ValueError("a complex needs at least one facet")
-        # A facet's colors are distinct, so n + 1 of them drawn from 0..n are
-        # exactly 0..n; only a failing complex looks at each facet's colors.
-        expected = tuple(range(n + 1))
-        if not {v.color for v in vertices} <= set(expected) or set(map(len, canon)) != {n + 1}:
-            bad = next(f for f in canon if f.colors != expected)
-            raise ValueError(
-                f"facet colors {bad.colors} do not match dimension {n} "
-                f"(expected {expected})"
-            )
         self.n = n
-        self.facets: tuple[Facet, ...] = tuple(canon)
-        self.vertex_id: dict[Vertex, int] = rank
+        self.facets: tuple[Facet, ...] = tuple(facets)
+        self.vertex_id: dict[Vertex, int] = {v: i for i, v in enumerate(vertices)}
         self._vertices = tuple(vertices)
         self._pos = {f: i for i, f in enumerate(self.facets)}
 
@@ -230,32 +247,40 @@ def facet_texts(c: ChromaticComplex) -> list[str]:
     return [" ".join(map(texts.__getitem__, f)) for f in c.facets]
 
 
-def _product_facets(c: ChromaticComplex, d: ChromaticComplex, pairs) -> list[Facet]:
+def _product_facets(
+    c: ChromaticComplex, d: ChromaticComplex, pairs
+) -> tuple[list[Facet], tuple[Vertex, ...]]:
     """The product facets of x and each y, for each (x, ys) in `pairs`: x a
-    facet of c, each y one of d, and c.n == d.n. Both hold the colors 0..n in
-    order, so vertices pair by position and the facets skip `Facet`'s checks.
-    Each product vertex is made once, keyed by its factors' vertex ids."""
+    facet of c, ys ids of facets of d, no pair twice, and c.n == d.n. Returns
+    them in `Facet.key` order, with their distinct vertices in `Vertex.key`
+    order, as `ChromaticComplex` takes them.
+
+    A product vertex is keyed by its factors' vertex ids, `left id × width +
+    right id`. Both factors number their vertices in `Vertex.key` order, and
+    the color and the left observation come first in a product vertex's key,
+    so these keys order product vertices as `Vertex.key` does, and sorting
+    the facets' key tuples puts them in `Facet.key` order. Both factors hold
+    the colors 0..n in order, so vertices pair by position, and each product
+    vertex is made once."""
     left, right = c.vertices(), d.vertices()
-    width, made = len(right), {}
-
-    def make(key: int) -> Vertex:
-        if key not in made:
-            u, w = left[key // width], right[key % width]
-            made[key] = Vertex(u.color, (u.obs, w.obs))
-        return made[key]
-
+    width = len(right)
     right_id = d.vertex_id.__getitem__
-    rows = {y: tuple(map(right_id, y)) for y in d.facets}
-    facets = []
+    rows = [tuple(map(right_id, y)) for y in d.facets]
+    keys = []
     for x, ys in pairs:
         base = [c.vertex_id[u] * width for u in x]
-        for y in ys:
-            try:
-                vs = tuple(map(made.__getitem__, map(add, base, rows[y])))
-            except KeyError:
-                vs = tuple(map(make, map(add, base, rows[y])))
-            facets.append(_facet(vs))
-    return facets
+        keys.extend([tuple(map(add, base, rows[j])) for j in ys])
+    keys.sort()
+    made = {}
+    for key in sorted(set().union(*keys)):
+        u, w = left[key // width], right[key % width]
+        made[key] = Vertex(u.color, (u.obs, w.obs))
+    # Each key is replaced by its facet in place, so the keys are freed as
+    # the facets are made, and the two lists never coexist.
+    vertex = made.__getitem__
+    for i, key in enumerate(keys):
+        keys[i] = _facet(tuple(map(vertex, key)))
+    return keys, tuple(made.values())
 
 
 def complex_to_json(c: ChromaticComplex) -> dict:

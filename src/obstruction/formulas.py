@@ -92,9 +92,19 @@ def _flatten(kind: str, parts: Iterable[Formula]) -> tuple[Formula, ...]:
 FALSE = _intern("false")
 
 
+def _agents(agents: Iterable[int]) -> frozenset[int]:
+    group = frozenset(agents)
+    for a in group:
+        if type(a) is not int:
+            raise TypeError("agent ids must be integers")
+    return group
+
+
 def atom(agent: int, value: int) -> Formula:
     """The proposition that `agent` received input `value`."""
-    if not isinstance(agent, int) or not isinstance(value, int):
+    # Agents and values are plain ints: a bool equals its int, so it would
+    # intern as that int's node and render as `True`, which `parse` rejects.
+    if type(agent) is not int or type(value) is not int:
         raise TypeError("atom takes integer agent and value")
     if agent < 0:
         raise ValueError("agent ids are nonnegative")
@@ -124,17 +134,19 @@ def not_(phi: Formula) -> Formula:
 
 
 def know(agent: int, phi: Formula) -> Formula:
-    if not isinstance(agent, int) or agent < 0:
+    if type(agent) is not int:
+        raise TypeError("agent ids must be integers")
+    if agent < 0:
         raise ValueError("agent ids are nonnegative integers")
     return _intern("know", agent=agent, children=(_check(phi),))
 
 
 def common(agents: Iterable[int], phi: Formula) -> Formula:
-    return _intern("common", agents=frozenset(agents), children=(_check(phi),))
+    return _intern("common", agents=_agents(agents), children=(_check(phi),))
 
 
 def distributed(agents: Iterable[int], phi: Formula) -> Formula:
-    return _intern("dist", agents=frozenset(agents), children=(_check(phi),))
+    return _intern("dist", agents=_agents(agents), children=(_check(phi),))
 
 
 TRUE = not_(FALSE)

@@ -9,8 +9,8 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
-from typing import Iterator
+from itertools import compress, islice, repeat
+from typing import Iterable, Iterator
 
 from .complexes import (
     ChromaticComplex,
@@ -21,6 +21,12 @@ from .complexes import (
     facet_texts,
 )
 from .formulas import Formula
+
+# Facet count above which `K`, `D` and `C` are evaluated from per-facet block
+# ids rather than from one facet mask per block. A mask is as wide as the
+# model, so building one per block costs time quadratic in the facet count;
+# on small models the masks are the faster of the two.
+BLOCK_ID_CUTOVER = 4096
 
 
 @dataclass(frozen=True)
@@ -40,8 +46,10 @@ class SimplicialModel:
     Satisfaction is set-at-a-time (bitset): each formula node is evaluated
     once for the whole model, as a Python-int mask over facet ids with bit i
     set where the node holds at facet i. Masks are stored per formula uid and
-    the partitions behind `K`, `D` and `C` per agent group; with interned
-    formulas both stay coherent for the whole lifetime of the model.
+    the partitions behind `K`, `D` and `C` per agent group: above
+    `BLOCK_ID_CUTOVER` facets as one block id per facet, else as one mask
+    per block. With interned formulas both stay coherent for the whole
+    lifetime of the model.
     """
 
     def __init__(self, complex: ChromaticComplex, atoms: tuple[frozenset, ...]):
@@ -52,7 +60,8 @@ class SimplicialModel:
         self._all = (1 << len(atoms)) - 1
         self._masks: dict[int, int] = {}
         self._atom_masks: dict[tuple[int, int], int] | None = None
-        self._partitions: dict[tuple[str, frozenset[int]], list[int]] = {}
+        self._partitions: dict[tuple[str, frozenset[int]], list] = {}
+        self._block_masks: dict[tuple[str, frozenset[int]], list[int]] = {}
         self._classes: dict[int, list[int]] = {}
 
     @property
@@ -104,8 +113,11 @@ class SimplicialModel:
             # K, D and C hold on the blocks of their partition that lie
             # inside the child's mask; K[a] is D[{a}].
             agents = frozenset((phi.agent,)) if kind == "know" else phi.agents
-            blocks = self._blocks("dist" if kind == "know" else kind, agents)
-            mask = sum(b for b in blocks if b & kids[0] == b)
+            kind = "dist" if kind == "know" else kind
+            if len(self._atoms) > BLOCK_ID_CUTOVER:
+                mask = _inside_blocks(self._block_ids(kind, agents), kids[0], self._all)
+            else:
+                mask = sum(b for b in self._blocks(kind, agents) if b & kids[0] == b)
         self._masks[phi.uid] = mask
         return mask
 
@@ -117,38 +129,51 @@ class SimplicialModel:
             classes = self._classes[agent] = [ids[f[agent]] for f in self.complex.facets]
         return classes
 
-    def _blocks(self, kind: str, agents: frozenset[int]) -> list[int]:
-        """The partition of facet ids, as masks, that `D[agents]` ("dist") or
-        `C[agents]` ("common") quantifies over: facets sharing their vertex of
-        every agent, one block for no agents; or the connected components of
-        the agents' partitions (union-find over vertex ids), singletons for no
-        agents."""
-        blocks = self._partitions.get((kind, agents))
-        if blocks is not None:
-            return blocks
+    def _block_keys(self, kind: str, agents: frozenset[int]) -> Iterable:
+        """Per facet id, in order, the id of its block in the partition that
+        `D[agents]` ("dist") or `C[agents]` ("common") quantifies over.
+
+        `D` blocks are the facets sharing their vertex of every agent: the
+        agent's class ids, or their zip, or one block for no agents. `C`
+        blocks are the connected components of the agents' partitions: roots
+        of a union-find over vertex ids, or singletons for no agents.
+        """
         columns = [self._class_ids(a) for a in sorted(agents)]
         size = len(self.complex.facets)
         if kind == "dist":
-            keys = zip(*columns) if columns else [()] * size
-        elif not columns:
-            keys = range(size)
-        else:
-            parent = list(range(len(self.complex.vertex_id)))
+            if len(columns) > 1:
+                return zip(*columns)
+            return columns[0] if columns else repeat(0, size)
+        if not columns:
+            return range(size)
+        parent = list(range(len(self.complex.vertex_id)))
 
-            def root(i: int) -> int:
-                while parent[i] != i:
-                    parent[i] = i = parent[parent[i]]
-                return i
+        def root(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            return i
 
-            for other in columns[1:]:
-                for u, w in set(zip(columns[0], other)):
-                    parent[root(u)] = root(w)
-            roots = {u: root(u) for u in set(columns[0])}
-            keys = map(roots.__getitem__, columns[0])
-        masks: dict = {}
-        for i, key in enumerate(keys):
-            masks[key] = masks.get(key, 0) | 1 << i
-        blocks = self._partitions[(kind, agents)] = list(masks.values())
+        for other in columns[1:]:
+            for u, w in set(zip(columns[0], other)):
+                parent[root(u)] = root(w)
+        roots = {u: root(u) for u in set(columns[0])}
+        return map(roots.__getitem__, columns[0])
+
+    def _block_ids(self, kind: str, agents: frozenset[int]) -> list:
+        """`_block_keys` as a list, kept per partition."""
+        ids = self._partitions.get((kind, agents))
+        if ids is None:
+            ids = self._partitions[(kind, agents)] = list(self._block_keys(kind, agents))
+        return ids
+
+    def _blocks(self, kind: str, agents: frozenset[int]) -> list[int]:
+        """The blocks of `_block_keys`' partition, as masks of facet ids."""
+        blocks = self._block_masks.get((kind, agents))
+        if blocks is None:
+            masks: dict = {}
+            for i, key in enumerate(self._block_keys(kind, agents)):
+                masks[key] = masks.get(key, 0) | 1 << i
+            blocks = self._block_masks[(kind, agents)] = list(masks.values())
         return blocks
 
     # -- queries -----------------------------------------------------------
@@ -174,8 +199,8 @@ class SimplicialModel:
         for a in group:
             if not 0 <= a <= self.complex.n:
                 raise KeyError(f"no vertex of color {a}")
-        block = next(b for b in self._blocks("common", group) if b >> idx & 1)
-        return frozenset(self.complex.facets[i] for i in _bits(block))
+        ids = self._block_ids("common", group)
+        return frozenset(compress(self.complex.facets, map(ids[idx].__eq__, ids)))
 
 
 def _atom_masks(atoms: tuple[frozenset, ...]) -> dict[tuple[int, int], int]:
@@ -188,6 +213,24 @@ def _atom_masks(atoms: tuple[frozenset, ...]) -> dict[tuple[int, int], int]:
         for pair in entry:
             masks[pair] = masks.get(pair, 0) | mask
     return masks
+
+
+# Byte maps between the digits of a binary numeral and one 0/1 byte per bit.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_BYTE_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _inside_blocks(ids: list, child: int, full: int) -> int:
+    """The facets whose block, by the per-facet block `ids`, lies wholly inside
+    `child`: all of `full` but the blocks holding a facet outside it. Each step
+    is one C-level pass over a byte per facet, lowest facet id first."""
+    width = len(ids)
+    outside = format(full ^ child, f"0{width}b").encode().translate(_DIGIT_BYTES)[::-1]
+    broken = set(compress(ids, outside))
+    if not broken:
+        return full
+    hit = bytes(map(broken.__contains__, ids))
+    return full ^ int(hit[::-1].translate(_BYTE_DIGITS), 2)
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -80,11 +80,14 @@ def pin_formula(facet: Facet) -> Formula:
 
 
 def initial_complex(n: int, inputs: Iterable[int]) -> ChromaticComplex:
-    values = sorted(set(inputs))
-    if not values:
+    given = list(inputs)
+    if not given:
         raise ValueError("at least one input value required")
-    if not all(isinstance(v, int) for v in values):
+    # Values are plain ints: a bool equals its int, so it would merge with it
+    # and export as JSON `true`/`false`, which no decoder reads back.
+    if not all(type(v) is int for v in given):
         raise TypeError("input values must be integers")
+    values = sorted(set(given))
     vertices = [[Vertex(a, value) for value in values] for a in range(n + 1)]
     facets = [Facet(choice) for choice in iter_product(*vertices)]
     return ChromaticComplex(n, facets)
@@ -219,10 +222,10 @@ def apply_action(model: SimplicialModel, action: ActionModel) -> SimplicialModel
     satisfies the action's precondition, asking once per distinct precondition."""
     if model.complex.n != action.complex.n:
         raise ValueError("dimension mismatch between model and action")
-    groups: dict[Formula, list[Facet]] = {}
-    for y in action.complex.facets:
-        groups.setdefault(action.pre[y], []).append(y)
-    kept = _product_facets(model.complex, action.complex, (
+    groups: dict[Formula, list[int]] = {}
+    for j, y in enumerate(action.complex.facets):
+        groups.setdefault(action.pre[y], []).append(j)
+    kept, vertices = _product_facets(model.complex, action.complex, (
         (x, ys)
         for x in model.complex.facets
         for pre, ys in groups.items()
@@ -230,7 +233,7 @@ def apply_action(model: SimplicialModel, action: ActionModel) -> SimplicialModel
     ))
     if not kept:
         raise ValueError("empty product update: preconditions exclude every pair")
-    return induce_model(ChromaticComplex(model.complex.n, kept), "left")
+    return induce_model(ChromaticComplex(model.complex.n, kept, vertices), "left")
 
 
 # -- facet accessors ---------------------------------------------------------

@@ -176,3 +176,24 @@ def test_node_facts_match_recursive_definitions(seed, depth):
         assert phi.mentions == _plain_mentions(phi)
         assert phi.modal == _plain_modal(phi)
         assert phi.positive == _plain_positive(phi)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: atom(True, 0),
+        lambda: atom(0, False),
+        lambda: know(True, FALSE),
+        lambda: common([True, 0], FALSE),
+        lambda: distributed([False], FALSE),
+    ],
+    ids=["atom-agent", "atom-value", "know", "common", "distributed"],
+)
+def test_bool_agents_and_values_are_rejected(build):
+    # A bool hashes and compares as its int, so it would intern as the int's
+    # node and render as `True`, which `parse` rejects.
+    with pytest.raises(TypeError, match="integer"):
+        build()
+    assert render(atom(1, 0)) == "input(1,0)"
+    assert render(know(1, atom(0, 1))) == "K[1] input(0,1)"
+    assert render(common([1, 0], FALSE)) == "C[{0,1}] false"

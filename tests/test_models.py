@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obstruction.adversaries import waitfree
+from obstruction.adversaries import from_survivor_sets, waitfree
 from obstruction.complexes import ChromaticComplex, Facet, Vertex
 from obstruction.formulas import (
     FALSE,
@@ -17,7 +17,9 @@ from obstruction.formulas import (
     or_,
     parse,
 )
+from obstruction.generators import adversary_obstruction
 from obstruction.models import (
+    BLOCK_ID_CUTOVER,
     complex_to_dot,
     induce_model,
     model_from_json,
@@ -28,11 +30,13 @@ from obstruction.solver import random_positive_formula
 from obstruction.tasks import (
     apply_action,
     binary_consensus_action,
+    immediate_snapshot_action,
     initial_model,
     pin_formula,
     round_operator_action,
 )
 
+from conftest import build_demo_model
 from helpers import (
     facet_with_values,
     map_facet,
@@ -230,6 +234,83 @@ def test_memoized_evaluation_matches_naive(demo_model):
                 phi = not_(phi) if rng.random() < 0.5 else or_(phi, FALSE)
             for facet in model.complex.facets:
                 assert model.satisfies(facet, phi) == naive_satisfies(model, facet, phi)
+
+
+def _modal_cases(n: int) -> list:
+    """`K`, `D` and `C` over every agent and over the groups ∅ (one `D` block,
+    singleton `C` blocks), {0}, {0,1} and everyone, of bodies whose masks
+    include no facet (false) and every facet (true)."""
+    agents = range(n + 1)
+    groups = [(), (0,), (0, 1), agents]
+    bodies = [FALSE, TRUE, atom(0, 0), or_(atom(0, 1), atom(1, 0)), and_(atom(1, 1), not_(atom(n, 0)))]
+    cases = []
+    for body in bodies:
+        cases += [know(a, body) for a in agents]
+        cases += [op(g, body) for g in groups for op in (distributed, common)]
+    return cases
+
+
+BLOCK_MODELS = {
+    "demo": build_demo_model,
+    "is-n2": lambda: apply_action(initial_model(2, (0, 1)), immediate_snapshot_action(2, (0, 1))),
+    "waitfree-n2": lambda: apply_action(initial_model(2, (0, 1)), round_operator_action(2, waitfree(2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+def test_block_ids_agree_with_block_masks_and_naive(name, monkeypatch):
+    masks = {}
+    for cutover in (len(BLOCK_MODELS[name]().complex), 0):
+        monkeypatch.setattr("obstruction.models.BLOCK_ID_CUTOVER", cutover)
+        model = BLOCK_MODELS[name]()
+        masks[cutover > 0] = [model._mask(phi) for phi in _modal_cases(model.n)]
+        # Block masks are built exactly when the model is at or below the cut-over.
+        assert bool(model._block_masks) == (cutover > 0)
+    assert masks[False] == masks[True]
+    # The naive evaluator searches the whole model per query: check a spread
+    # of about a dozen facets.
+    facets = model.complex.facets
+    sample = range(0, len(facets), max(1, len(facets) // 12))
+    for phi, mask in zip(_modal_cases(model.n), masks[False]):
+        naive = [naive_satisfies(model, facets[i], phi) for i in sample]
+        assert [bool(mask >> i & 1) for i in sample] == naive, phi
+
+
+def test_block_ids_on_the_split_pair_protocol(monkeypatch):
+    adversary = from_survivor_sets(3, [{0, 1}, {2, 3}])
+    phi = adversary_obstruction(3, adversary)
+
+    def build():
+        return apply_action(initial_model(3, range(4)), round_operator_action(3, adversary))
+
+    model = build()
+    assert len(model.complex) == 16128 > BLOCK_ID_CUTOVER
+    found = [model.complex.index(f) for f in model.counterexamples(phi, 10)]
+    assert found and not model._block_masks
+    monkeypatch.setattr("obstruction.models.BLOCK_ID_CUTOVER", len(model.complex))
+    by_masks = build()
+    assert [by_masks.complex.index(f) for f in by_masks.counterexamples(phi, 10)] == found
+    # Each C class, read off the block ids, is a connected component of the
+    # facets sharing a vertex of the group, found by search over vertex stars.
+    stars: dict = {}
+    for f in model.complex.facets:
+        for v in f:
+            stars.setdefault(v, []).append(f)
+    start = model.complex.facets[found[0]]
+    for group in [(), (0,), (0, 1), (1, 2), (0, 1, 2, 3)]:
+        assert model.common_reach(start, group) == _component(stars, start, group)
+
+
+def _component(stars, start, group) -> frozenset:
+    seen, todo = {start}, [start]
+    while todo:
+        f = todo.pop()
+        for a in group:
+            for g in stars[f[a]]:
+                if g not in seen:
+                    seen.add(g)
+                    todo.append(g)
+    return frozenset(seen)
 
 
 def test_empty_common_group_is_the_formula_itself(demo_model):

@@ -1,7 +1,13 @@
 import pytest
 
 from obstruction.adversaries import from_survivor_sets, waitfree
-from obstruction.complexes import Facet, Vertex, complex_from_json, complex_to_json
+from obstruction.complexes import (
+    ChromaticComplex,
+    Facet,
+    Vertex,
+    complex_from_json,
+    complex_to_json,
+)
 from obstruction.formulas import FALSE, render
 from obstruction.tasks import (
     ActionModel,
@@ -55,6 +61,14 @@ def test_initial_model_contains_uniform_assignment():
 def test_initial_model_rejects_empty_inputs():
     with pytest.raises(ValueError, match="at least one"):
         initial_model(1, [])
+
+
+@pytest.mark.parametrize("inputs", [[True, False], [1, True], [0, False, 2]])
+def test_initial_model_rejects_bool_inputs(inputs):
+    # A bool equals its int: it would merge with it and export as JSON
+    # `false`, which `model_from_json` refuses to read back.
+    with pytest.raises(TypeError, match="integers"):
+        initial_model(1, inputs)
 
 
 # -- ordered set partitions and snapshot views --------------------------------
@@ -420,6 +434,31 @@ def test_action_json_requires_preconditions():
     del doc["pre"]
     with pytest.raises(ValueError, match="preconditions"):
         action_from_json(doc)
+
+
+# -- factor-id order ------------------------------------------------------------
+
+SPLIT_PAIR = from_survivor_sets(3, [{0, 1}, {2, 3}])
+
+FACTOR_ORDER_CASES = {
+    "is-n3-binary": (3, (0, 1), lambda: immediate_snapshot_action(3, (0, 1))),
+    "waitfree-n2": (2, range(3), lambda: round_operator_action(2, waitfree(2))),
+    "sa2-n3": (3, range(4), lambda: set_agreement_action(3, 2)),
+    "split-pair-n3": (3, range(4), lambda: round_operator_action(3, SPLIT_PAIR)),
+    "bc-n2": (2, (0, 1), lambda: binary_consensus_action(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_ORDER_CASES))
+def test_product_in_factor_id_order_is_canonical(name):
+    n, inputs, build = FACTOR_ORDER_CASES[name]
+    p = apply_action(initial_model(n, inputs), build()).complex
+    general = ChromaticComplex(n, list(p.facets))
+    assert p.facets == general.facets
+    assert p.vertices() == general.vertices()
+    assert list(p.vertex_id.items()) == list(general.vertex_id.items())
+    assert all(type(f) is Facet for f in p.facets)
+    assert [p.index(f) for f in general.facets] == list(range(len(p)))
 
 
 # -- vertex sharing ------------------------------------------------------------
