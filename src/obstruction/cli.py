@@ -196,8 +196,8 @@ def _model_text(model: models.SimplicialModel) -> str:
 def _action_text(action: tasks.ActionModel) -> str:
     c = action.complex
     lines = [f"n={c.n} name={action.name} facets={len(c.facets)}"]
-    for i, (facet, text) in enumerate(zip(c.facets, facet_texts(c))):
-        lines.append(f"f{i}: {text}  pre: {render(action.pre[facet])}")
+    for i, (text, phi) in enumerate(zip(facet_texts(c), action.pre)):
+        lines.append(f"f{i}: {text}  pre: {render(phi)}")
     return "\n".join(lines) + "\n"
 
 

@@ -12,12 +12,13 @@ object per distinct vertex across the facets of a complex (see
 `vertex_table`; products key theirs by the factors' vertex ids). A complex
 keeps its facets in `Facet.key` order, computed by ranking its distinct
 vertices once by `Vertex.key` and comparing facets by their tuples of
-integer ranks; a product complex takes both orders from its factors' vertex
-ids instead (see `_product_facets`).
+integer ranks (`_key_order`, which the view-action builder also calls on
+its own numbered vertices); a product complex takes both orders from its
+factors' vertex ids instead (see `_product_facets`).
 """
 
 from operator import add
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 # An observation is one of:
 #   int                         -- a plain value (input or decision)
@@ -158,17 +159,38 @@ def _facet(vertices: tuple[Vertex, ...]) -> Facet:
     return tuple.__new__(Facet, vertices)
 
 
+def _key_order(
+    vertices: Sequence[Vertex], facets: Sequence[tuple[int, ...]]
+) -> tuple[list[Vertex], list[int]]:
+    """Canonical order from numbered vertices. `vertices` are distinct, in
+    any order, and each entry of `facets` lists a distinct facet's vertices
+    in color order by their positions in `vertices`. Returns the vertices in
+    `Vertex.key` order and the positions in `facets` in `Facet.key` order.
+
+    Vertex.key is injective, so comparing facets by the ranks of their
+    vertices in Vertex.key order is the same as comparing Facet.key: the
+    vertices are ranked once and the facets sorted as tuples of ints."""
+    by_key = sorted(range(len(vertices)), key=list(map(Vertex.key, vertices)).__getitem__)
+    rank = [0] * len(vertices)
+    for r, i in enumerate(by_key):
+        rank[i] = r
+    keys = [tuple(map(rank.__getitem__, f)) for f in facets]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return list(map(vertices.__getitem__, by_key)), order
+
+
 def _canonical(n: int, facets: Iterable[Facet]) -> tuple[list[Vertex], list[Facet]]:
     """The distinct vertices of `facets` in `Vertex.key` order and the distinct
     facets in `Facet.key` order, checked to hold the colors 0..n."""
-    unique = set(facets)
+    unique = list(set(facets))
     if not unique:
         raise ValueError("a complex needs at least one facet")
-    # Vertex.key is injective, so comparing facets by the ranks of their
-    # vertices in Vertex.key order is the same as comparing Facet.key.
-    vertices = sorted(set().union(*unique), key=Vertex.key)
-    rank = {v: i for i, v in enumerate(vertices)}
-    canon = sorted(unique, key=lambda f: tuple(map(rank.__getitem__, f)))
+    distinct = list(set().union(*unique))
+    number = {v: i for i, v in enumerate(distinct)}
+    vertices, order = _key_order(
+        distinct, [tuple(map(number.__getitem__, f)) for f in unique]
+    )
+    canon = list(map(unique.__getitem__, order))
     # A facet's colors are distinct, so n + 1 of them drawn from 0..n are
     # exactly 0..n; only a failing complex looks at each facet's colors.
     expected = tuple(range(n + 1))
@@ -187,7 +209,8 @@ class ChromaticComplex:
     Facets are deduplicated and kept in canonical `Facet.key` order, so
     indices are stable identifiers for export and reporting. The distinct
     vertices are kept in `Vertex.key` order, and `vertex_id` maps each to its
-    position there.
+    position there. The facet-to-index map behind `index` and `in` is built
+    on first use.
     """
 
     __slots__ = ("n", "facets", "vertex_id", "_vertices", "_pos")
@@ -197,8 +220,8 @@ class ChromaticComplex:
     ):
         """`vertices`, when given, are the facets' distinct vertices in
         `Vertex.key` order, and `facets` are then taken as they are: distinct,
-        in `Facet.key` order and holding the colors 0..n. Only the product
-        builder, which knows that order from its factors, passes them."""
+        in `Facet.key` order and holding the colors 0..n. Only the product and
+        view-action builders, which know both orders, pass them."""
         if n < 0:
             raise ValueError("dimension must be nonnegative")
         if vertices is None:
@@ -209,20 +232,26 @@ class ChromaticComplex:
         self.facets: tuple[Facet, ...] = tuple(facets)
         self.vertex_id: dict[Vertex, int] = {v: i for i, v in enumerate(vertices)}
         self._vertices = tuple(vertices)
-        self._pos = {f: i for i, f in enumerate(self.facets)}
+        self._pos: dict[Facet, int] | None = None
 
     def vertices(self) -> tuple[Vertex, ...]:
         """The distinct vertices in `Vertex.key` order, numbered by `vertex_id`."""
         return self._vertices
 
+    def _positions(self) -> dict[Facet, int]:
+        if self._pos is None:
+            self._pos = {f: i for i, f in enumerate(self.facets)}
+        return self._pos
+
     def index(self, facet: Facet) -> int:
         try:
-            return self._pos[facet]
+            # Read the built map directly: point queries call this per query.
+            return (self._pos or self._positions())[facet]
         except KeyError:
             raise KeyError(f"facet not in complex: {facet!r}") from None
 
     def __contains__(self, facet: Facet) -> bool:
-        return facet in self._pos
+        return facet in self._positions()
 
     def __len__(self) -> int:
         return len(self.facets)
@@ -310,7 +339,10 @@ def _json_field(doc, key: str, kind: type | None, what: str):
     return value
 
 
-def complex_from_json(data: dict) -> ChromaticComplex:
+def complex_from_json(data: dict) -> tuple[ChromaticComplex, list[int]]:
+    """The complex of a document, and the id of each facet the document
+    lists, in document order and once per listing, for side tables keyed by
+    document position."""
     n = _json_field(data, "n", int, "complex document")
     raw_facets = _json_field(data, "facets", list, "complex document")
     vertex = vertex_table()
@@ -332,4 +364,5 @@ def complex_from_json(data: dict) -> ChromaticComplex:
         Facet(map(entry_vertex, _json_field(entry, "vertices", list, "facet entry")))
         for entry in raw_facets
     ]
-    return ChromaticComplex(n, facets)
+    c = ChromaticComplex(n, facets)
+    return c, list(map(c.index, facets))

@@ -7,9 +7,10 @@ the vertex observation itself or, for product models, from its left half.
 
 import operator
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from typing import Iterable, Iterator
 
 from .complexes import (
@@ -204,15 +205,28 @@ class SimplicialModel:
 
 
 def _atom_masks(atoms: tuple[frozenset, ...]) -> dict[tuple[int, int], int]:
-    """The facet mask of each atom, built over the distinct atom sets."""
-    by_set: dict[frozenset, int] = {}
-    for i, entry in enumerate(atoms):
-        by_set[entry] = by_set.get(entry, 0) | 1 << i
-    masks: dict[tuple[int, int], int] = {}
-    for entry, mask in by_set.items():
+    """The facet mask of each atom, read as the binary digits of an int,
+    highest facet id first, in time linear in the facets per atom. When at
+    most 256 distinct atom sets occur, they are numbered, and each atom's
+    digits are one byte translation of the column of set numbers; else each
+    facet writes its digit into the digits of every atom it holds."""
+    sets = dict.fromkeys(atoms)
+    if len(sets) > 256:
+        # An atom's digits start as a copy of all zeros, made when first held.
+        digits = defaultdict(bytearray(b"0" * len(atoms)).copy)
+        last = len(atoms) - 1
+        for i, entry in enumerate(atoms):
+            for pair in entry:
+                digits[pair][last - i] = 49  # ord("1")
+        return {pair: int(table, 2) for pair, table in digits.items()}
+    # Per atom, the digit of each set number: "1" for the sets holding it.
+    digits = defaultdict(bytearray(b"0" * 256).copy)
+    for k, entry in enumerate(sets):
         for pair in entry:
-            masks[pair] = masks.get(pair, 0) | mask
-    return masks
+            digits[pair][k] = 49
+    ids = {entry: k for k, entry in enumerate(sets)}
+    column = bytes(map(ids.__getitem__, reversed(atoms)))
+    return {pair: int(column.translate(table), 2) for pair, table in digits.items()}
 
 
 # Byte maps between the digits of a binary numeral and one 0/1 byte per bit.
@@ -269,13 +283,16 @@ def induce_model(complex: ChromaticComplex, projection: str = "obs") -> Simplici
             for v in facet:
                 check(v)
         raise
-    # Every vertex carries an integer input, so each facet's inputs read
-    # straight off its vertices. A facet holds the colors 0..n in order, so
-    # its tuple of inputs determines its atom set; each distinct set is made once.
+    # Every vertex carries an integer input: its obs, or item 0 of a product
+    # vertex's obs. A vertex is the tuple (color, obs), so the inputs of all
+    # vertex occurrences are read in one C-level pass, and a facet holds the
+    # colors 0..n in order, so they regroup n + 1 at a time into each facet's
+    # tuple of inputs. That tuple determines its atom set; each distinct set
+    # is made once.
+    inputs = map(operator.itemgetter(1), chain.from_iterable(complex.facets))
     if projection == "left":
-        keys = [tuple([v.obs[0] for v in f]) for f in complex.facets]
-    else:
-        keys = [tuple([v.obs for v in f]) for f in complex.facets]
+        inputs = map(operator.itemgetter(0), inputs)
+    keys = list(zip(*[inputs] * (complex.n + 1)))
     atoms = {key: frozenset(enumerate(key)) for key in set(keys)}
     return SimplicialModel(complex, tuple(map(atoms.__getitem__, keys)))
 
@@ -326,7 +343,9 @@ def model_to_json(model: SimplicialModel) -> dict:
 
 
 def model_from_json(data: dict) -> SimplicialModel:
-    complex = complex_from_json(data)
+    """The model of a document whose `atoms` entry i, when given, records the
+    atoms of its i-th listed facet."""
+    complex, ids = complex_from_json(data)
     kinds = {"pair" if isinstance(v.obs, tuple) else "plain" for v in complex.vertices()}
     if kinds == {"pair"}:
         projection = "left"
@@ -343,7 +362,7 @@ def model_from_json(data: dict) -> SimplicialModel:
                 "malformed model document: 'atoms' must hold one list of "
                 "[agent, value] pairs per facet"
             ) from None
-        if tuple(recorded) != model._atoms:
+        if tuple(recorded) != tuple(map(model._atoms.__getitem__, ids)):
             raise ValueError("recorded atoms disagree with the complex")
     return model
 

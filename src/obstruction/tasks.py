@@ -27,6 +27,7 @@ from .complexes import (
     complex_from_json,
     vertex_table,
     _facet,
+    _key_order,
     _json_field,
     _product_facets,
 )
@@ -36,17 +37,19 @@ from .models import SimplicialModel, induce_model
 
 @dataclass(frozen=True)
 class ActionModel:
-    """A complex of action points, each guarded by a precondition; action
-    points with the same precondition share one interned formula object."""
+    """A complex of action points, each guarded by a precondition: `pre[i]`
+    guards `complex.facets[i]`. Action points with the same precondition
+    share one interned formula object."""
 
     complex: ChromaticComplex
-    pre: dict[Facet, Formula]
+    pre: tuple[Formula, ...]
     name: str
 
     def __post_init__(self):
-        missing = [f for f in self.complex.facets if f not in self.pre]
-        if missing:
-            raise ValueError(f"{len(missing)} facets lack a precondition")
+        if len(self.pre) != len(self.complex.facets):
+            raise ValueError(
+                f"{len(self.complex.facets)} facets but {len(self.pre)} preconditions"
+            )
 
 
 def _nonempty_subsets(items: Sequence[int]) -> list[frozenset[int]]:
@@ -102,26 +105,38 @@ def initial_model(n: int, inputs: Iterable[int]) -> SimplicialModel:
 
 
 def _view_action(n: int, vectors, inputs: Iterable[int], name: str) -> ActionModel:
-    """One action facet per input facet and view vector.
+    """One action facet per input facet and view vector, guarded by the input
+    facet's pin; the vectors are distinct.
 
     Agent a's vertex holds the inputs of the agents in vector[a]. The
-    distinct (agent, view) cells are numbered once, and each input facet
-    builds one vertex per cell.
+    distinct (agent, view) cells are numbered once, each input facet selects
+    one vertex per cell, and the distinct vertices are numbered once. A row
+    lists one cell per agent, in agent order, so a facet is the tuple of its
+    row's vertex numbers, and `_key_order` sorts those tuples into
+    `Facet.key` order. Every agent sees its own input, so no facet arises
+    from two input facets.
     """
     cells: dict[tuple[int, frozenset[int]], int] = {}
     rows = [tuple(cells.setdefault(c, len(cells)) for c in enumerate(v)) for v in vectors]
-    vertex = vertex_table()
-    facets, pre = [], {}
-    for x in initial_complex(n, inputs).facets:
-        guard = pin_formula(x)
+    facets_in = initial_complex(n, inputs).facets
+    numbers: dict[tuple[int, frozenset], int] = {}
+    keys = []
+    for x in facets_in:
         obs = [v.obs for v in x]
-        at = [vertex(a, frozenset([(b, obs[b]) for b in seen])) for a, seen in cells]
-        for row in rows:
-            # A row lists one cell per agent, in agent order.
-            facet = _facet(tuple(map(at.__getitem__, row)))
-            facets.append(facet)
-            pre[facet] = guard
-    return ActionModel(ChromaticComplex(n, facets), pre, name)
+        # The number of this input facet's vertex in each cell.
+        picks = [
+            numbers.setdefault((a, frozenset([(b, obs[b]) for b in seen])), len(numbers))
+            for a, seen in cells
+        ]
+        keys.extend([tuple(map(picks.__getitem__, row)) for row in rows])
+    made = list(map(Vertex._make, numbers))
+    vertices, order = _key_order(made, keys)
+    vertex = made.__getitem__
+    facets = [_facet(tuple(map(vertex, keys[i]))) for i in order]
+    guards = [pin_formula(x) for x in facets_in]
+    width = len(rows)
+    pre = tuple([guards[i // width] for i in order])
+    return ActionModel(ChromaticComplex(n, facets, vertices), pre, name)
 
 
 def view_vectors(n: int, adversary: Adversary) -> list[tuple[frozenset[int], ...]]:
@@ -178,12 +193,9 @@ def round_operator_action(
 def binary_consensus_action(n: int) -> ActionModel:
     """Two action points: everyone decides 0, or everyone decides 1."""
     agents = range(n + 1)
-    facets = [Facet(Vertex(a, d) for a in agents) for d in (0, 1)]
-    pre = {
-        facets[d]: or_(*(atom(a, d) for a in agents))
-        for d in (0, 1)
-    }
-    return ActionModel(ChromaticComplex(n, facets), pre, "bc")
+    decisions = ChromaticComplex(n, [Facet(Vertex(a, d) for a in agents) for d in (0, 1)])
+    pre = tuple(or_(*(atom(a, f[0].obs) for a in agents)) for f in decisions.facets)
+    return ActionModel(decisions, pre, "bc")
 
 
 def set_agreement_action(
@@ -195,23 +207,23 @@ def set_agreement_action(
     agents = range(n + 1)
     universe = sorted(range(n + 1) if values is None else set(values))
     vertex = vertex_table()
-    facets, pre = [], {}
-    for decisions in iter_product(universe, repeat=n + 1):
-        if len(set(decisions)) > k:
-            continue
-        facet = Facet(vertex(a, decisions[a]) for a in agents)
-        facets.append(facet)
-        pre[facet] = and_(
-            *(or_(*(atom(b, decisions[a]) for b in agents)) for a in agents)
-        )
-    return ActionModel(ChromaticComplex(n, facets), pre, f"sa:{k}")
+    chosen = ChromaticComplex(n, [
+        Facet(vertex(a, decisions[a]) for a in agents)
+        for decisions in iter_product(universe, repeat=n + 1)
+        if len(set(decisions)) <= k
+    ])
+    # Each decision must be some agent's input.
+    pre = tuple(
+        and_(*(or_(*(atom(b, v.obs) for b in agents)) for v in facet))
+        for facet in chosen.facets
+    )
+    return ActionModel(chosen, pre, f"sa:{k}")
 
 
 def decide_own_input_action(n: int, values: Iterable[int]) -> ActionModel:
     """The trivial task: every agent decides exactly its own input."""
     decisions = initial_complex(n, values)
-    pre = {facet: pin_formula(facet) for facet in decisions.facets}
-    return ActionModel(decisions, pre, "sa-trivial")
+    return ActionModel(decisions, tuple(map(pin_formula, decisions.facets)), "sa-trivial")
 
 
 # -- product update ----------------------------------------------------------
@@ -223,8 +235,8 @@ def apply_action(model: SimplicialModel, action: ActionModel) -> SimplicialModel
     if model.complex.n != action.complex.n:
         raise ValueError("dimension mismatch between model and action")
     groups: dict[Formula, list[int]] = {}
-    for j, y in enumerate(action.complex.facets):
-        groups.setdefault(action.pre[y], []).append(j)
+    for j, pre in enumerate(action.pre):
+        groups.setdefault(pre, []).append(j)
     kept, vertices = _product_facets(model.complex, action.complex, (
         (x, ys)
         for x in model.complex.facets
@@ -268,22 +280,26 @@ def seen_agents(facet: Facet, agent: int) -> frozenset[int]:
 def action_to_json(action: ActionModel) -> dict:
     doc = complex_to_json(action.complex)
     doc["name"] = action.name
-    doc["pre"] = {
-        str(i): render(action.pre[f]) for i, f in enumerate(action.complex.facets)
-    }
+    doc["pre"] = {str(i): render(phi) for i, phi in enumerate(action.pre)}
     return doc
 
 
 def action_from_json(data: dict) -> ActionModel:
-    complex = complex_from_json(data)
+    """The action of a document whose `pre` entry `str(i)` guards its i-th
+    listed facet; a facet listed twice must carry one precondition."""
+    complex, ids = complex_from_json(data)
     raw = data.get("pre")
     if not isinstance(raw, dict):
         raise ValueError("malformed action document: missing preconditions")
-    pre = {}
-    for i, facet in enumerate(complex.facets):
+    pre: list[Formula | None] = [None] * len(complex.facets)
+    for i, j in enumerate(ids):
         text = raw.get(str(i))
         if not isinstance(text, str):
             raise ValueError(f"facet {i} lacks a precondition")
-        pre[facet] = parse(text)
+        phi = parse(text)  # interned: one object per formula
+        if pre[j] is None:
+            pre[j] = phi
+        elif pre[j] is not phi:
+            raise ValueError(f"facet {i} is listed twice with different preconditions")
     name = _json_field(data, "name", str, "action document") if "name" in data else "imported"
-    return ActionModel(complex, pre, name)
+    return ActionModel(complex, tuple(pre), name)

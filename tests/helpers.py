@@ -152,8 +152,8 @@ def naive_product_update(model: SimplicialModel, action: ActionModel) -> Simplic
     kept = [
         product_facet(x, y)
         for x in model.complex.facets
-        for y in action.complex.facets
-        if naive_satisfies(model, x, action.pre[y])
+        for y, pre in zip(action.complex.facets, action.pre)
+        if naive_satisfies(model, x, pre)
     ]
     return induce_model(ChromaticComplex(model.complex.n, kept), "left")
 
@@ -192,7 +192,8 @@ def reference_view_action(n: int, vectors, inputs, name: str) -> ActionModel:
             facet = Facet(map(at.__getitem__, vector))
             facets.append(facet)
             pre[facet] = guard
-    return ActionModel(ChromaticComplex(n, facets), pre, name)
+    complex = ChromaticComplex(n, facets)
+    return ActionModel(complex, tuple(map(pre.__getitem__, complex.facets)), name)
 
 
 def assert_checked_facets(complex: ChromaticComplex) -> None:

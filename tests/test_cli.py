@@ -348,6 +348,22 @@ def test_export_action_model(tmp_path, capsys):
     assert "pre:" in out
 
 
+def test_export_reads_each_precondition_with_its_listed_facet(tmp_path, capsys):
+    path = tmp_path / "bc.json"
+    code, _, _ = run(capsys, "build", "bc", "--n", "1", "--out", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    doc["facets"].reverse()
+    doc["pre"] = {"0": doc["pre"]["1"], "1": doc["pre"]["0"]}
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "export", str(path), "--format", "text")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "f0: 0:0 1:0  pre: input(0,0) | input(1,0)",
+        "f1: 0:1 1:1  pre: input(0,1) | input(1,1)",
+    ]
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "nope.json", "--formula", "false")
     assert code == 2
@@ -408,6 +424,13 @@ def _action_doc(**fields):
     return {**action_to_json(set_agreement_action(1, 1)), **fields}
 
 
+def _action_doc_listing_a_facet_twice():
+    doc = _action_doc()
+    doc["facets"].append(doc["facets"][0])
+    doc["pre"]["2"] = doc["pre"]["1"]
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc,message",
     [
@@ -416,8 +439,12 @@ def _action_doc(**fields):
             "malformed action document: 'name' must be of type str, got list",
         ),
         (_action_doc(pre={}), "facet 0 lacks a precondition"),
+        (
+            _action_doc_listing_a_facet_twice(),
+            "facet 2 is listed twice with different preconditions",
+        ),
     ],
-    ids=["name-not-str", "pre-missing-facet"],
+    ids=["name-not-str", "pre-missing-facet", "facet-listed-twice"],
 )
 def test_malformed_action_file_is_usage_error(tmp_path, capsys, doc, message):
     path = tmp_path / "action.json"

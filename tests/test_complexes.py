@@ -153,7 +153,7 @@ def test_product_shared_colors_decompose():
 
 def test_complex_json_round_trip(demo_model):
     doc = complex_to_json(demo_model.complex)
-    again = complex_from_json(doc)
+    again, _ = complex_from_json(doc)
     assert again == demo_model.complex
     assert complex_to_json(again) == doc
     assert_checked_facets(again)
@@ -171,7 +171,7 @@ def test_decoder_makes_one_vertex_per_distinct_vertex():
             {"vertices": [{"color": 0, "obs": 7}, {"color": 1, "obs": 6}]},
         ],
     }
-    c = complex_from_json(doc)
+    c, _ = complex_from_json(doc)
     assert len(c.facets) == 4
     occurrences = [v for f in c.facets for v in f.vertices]
     assert len({id(v) for v in occurrences}) == len(c.vertices()) == 4
@@ -233,6 +233,16 @@ def test_complex_index_lookup(demo_model):
         assert demo_model.complex.index(f) == i
     with pytest.raises(KeyError):
         demo_model.complex.index(Facet([Vertex(0, 9), Vertex(1, 9), Vertex(2, 9)]))
+
+
+def test_facet_index_is_built_on_first_use():
+    c = initial_complex(1, (0, 1))
+    assert c._pos is None
+    stranger = Facet([Vertex(0, 9), Vertex(1, 9)])
+    assert stranger not in c and c._pos is not None
+    with pytest.raises(KeyError, match=r"facet not in complex: Facet\(0:9 1:9\)"):
+        c.index(stranger)
+    assert [c.index(f) for f in c.facets] == list(range(len(c)))
 
 
 # -- canonical order ---------------------------------------------------------

@@ -20,6 +20,7 @@ from obstruction.formulas import (
 from obstruction.generators import adversary_obstruction
 from obstruction.models import (
     BLOCK_ID_CUTOVER,
+    _atom_masks,
     complex_to_dot,
     induce_model,
     model_from_json,
@@ -301,6 +302,37 @@ def test_block_ids_on_the_split_pair_protocol(monkeypatch):
         assert model.common_reach(start, group) == _component(stars, start, group)
 
 
+def _bitwise_atom_masks(atoms) -> dict:
+    """Reference for `models._atom_masks`: each facet's bit OR-ed into the
+    mask of every atom it holds."""
+    masks: dict = {}
+    for i, entry in enumerate(atoms):
+        for pair in entry:
+            masks[pair] = masks.get(pair, 0) | 1 << i
+    return masks
+
+
+def test_atom_masks_on_the_split_pair_protocol():
+    adversary = from_survivor_sets(3, [{0, 1}, {2, 3}])
+    model = apply_action(initial_model(3, range(4)), round_operator_action(3, adversary))
+    assert len(set(model._atoms)) == 256  # the most that a byte per facet numbers
+    assert _atom_masks(model._atoms) == _bitwise_atom_masks(model._atoms)
+
+
+def test_atom_masks_beyond_a_byte_of_atom_sets():
+    rng = random.Random(5)
+    atoms = tuple(
+        frozenset((a, rng.randrange(6)) for a in range(rng.randrange(5)))
+        for _ in range(3000)
+    )
+    assert len(set(atoms)) > 256 and frozenset() in atoms
+    assert _atom_masks(atoms) == _bitwise_atom_masks(atoms)
+    # One atom set per facet: 6 ** 5 of them.
+    atoms = initial_model(4, range(6))._atoms
+    assert len(set(atoms)) == 7776
+    assert _atom_masks(atoms) == _bitwise_atom_masks(atoms)
+
+
 def _component(stars, start, group) -> frozenset:
     seen, todo = {start}, [start]
     while todo:
@@ -465,6 +497,22 @@ def test_product_model_json_round_trip():
     assert again.complex == model.complex
     for f in model.complex.facets:
         assert again.atoms_of(f) == model.atoms_of(f)
+
+
+def test_model_json_atoms_follow_the_listed_facets():
+    model = apply_action(initial_model(1, [0, 1]), binary_consensus_action(1))
+    doc = model_to_json(model)
+    doc["facets"].reverse()
+    doc["atoms"].reverse()
+    again = model_from_json(doc)
+    assert again.complex == model.complex and again._atoms == model._atoms
+    # A facet listed twice is read once, and must carry the same atoms.
+    doc["facets"].append(doc["facets"][0])
+    doc["atoms"].append(doc["atoms"][0])
+    assert model_from_json(doc)._atoms == model._atoms
+    doc["atoms"][-1] = next(a for a in doc["atoms"] if a != doc["atoms"][0])
+    with pytest.raises(ValueError, match="recorded atoms disagree"):
+        model_from_json(doc)
 
 
 def test_dot_export_lists_facets_and_edges(demo_model):

@@ -315,7 +315,11 @@ VIEW_ACTION_CASES = {
         f"is-n{n}": (n, [v for v in view_vectors(n, waitfree(n)) if is_immediate(v)], [0, 1])
         for n in (1, 2, 3)
     },
+    "waitfree-n2": (2, view_vectors(2, waitfree(2)), range(3)),
     "waitfree-n3": (3, view_vectors(3, waitfree(3)), [0, 1]),
+    "two-of-three-n2": (
+        2, view_vectors(2, from_survivor_sets(2, [{0, 1}, {1, 2}, {0, 2}])), range(3)
+    ),
     "split-pair-n3": (3, view_vectors(3, from_survivor_sets(3, [{0, 1}, {2, 3}])), range(4)),
 }
 
@@ -325,7 +329,12 @@ def test_view_action_matches_checked_reference(name):
     n, vectors, inputs = VIEW_ACTION_CASES[name]
     action = _view_action(n, vectors, inputs, name)
     expected = reference_view_action(n, vectors, inputs, name)
-    assert action.complex == expected.complex
+    c = action.complex
+    assert c == expected.complex
+    assert c.vertices() == expected.complex.vertices()
+    assert list(c.vertex_id.items()) == list(expected.complex.vertex_id.items())
+    # Formulas are interned and compare by identity, so each facet's
+    # precondition is the very pin formula of its input facet.
     assert action.pre == expected.pre
     assert_checked_facets(action.complex)
 
@@ -353,9 +362,7 @@ def test_product_update_dimension_mismatch():
 
 def test_empty_product_update_rejected():
     action = binary_consensus_action(1)
-    doomed = ActionModel(
-        action.complex, {f: FALSE for f in action.complex.facets}, "never"
-    )
+    doomed = ActionModel(action.complex, (FALSE,) * len(action.complex), "never")
     with pytest.raises(ValueError, match="empty product"):
         apply_action(initial_model(1, [0, 1]), doomed)
 
@@ -425,8 +432,36 @@ def test_action_json_round_trip():
     doc = action_to_json(action)
     again = action_from_json(doc)
     assert again.complex == action.complex
-    for f in action.complex.facets:
-        assert render(again.pre[f]) == render(action.pre[f])
+    assert list(map(render, again.pre)) == list(map(render, action.pre))
+
+
+def _reversed_document(doc: dict) -> dict:
+    """The action document with its facets and their preconditions listed in
+    reverse, each precondition still keyed to its own facet."""
+    last = len(doc["facets"]) - 1
+    return {
+        **doc,
+        "facets": doc["facets"][::-1],
+        "pre": {str(last - int(i)): text for i, text in doc["pre"].items()},
+    }
+
+
+def test_action_json_preconditions_follow_the_listed_facets():
+    action = binary_consensus_action(1)
+    again = action_from_json(_reversed_document(action_to_json(action)))
+    assert again.complex == action.complex
+    assert again.pre == action.pre
+
+
+def test_action_json_facet_listed_twice_needs_one_precondition():
+    action = set_agreement_action(2, 2)
+    doc = _reversed_document(action_to_json(action))
+    doc["facets"].append(doc["facets"][0])
+    doc["pre"][str(len(action.complex))] = doc["pre"]["0"]
+    assert action_from_json(doc).pre == action.pre
+    doc["pre"][str(len(action.complex))] = doc["pre"]["1"]
+    with pytest.raises(ValueError, match=f"facet {len(action.complex)} is listed twice"):
+        action_from_json(doc)
 
 
 def test_action_json_requires_preconditions():
@@ -488,6 +523,6 @@ def test_builders_share_one_object_per_vertex(build):
 
 def test_json_round_trip_shares_one_object_per_vertex():
     original = _is_product().complex
-    c = complex_from_json(complex_to_json(original))
+    c, _ = complex_from_json(complex_to_json(original))
     assert c == original
     assert len({id(v) for f in c.facets for v in f.vertices}) == len(c.vertices())
