@@ -183,13 +183,12 @@ def _dump(doc) -> list[str]:
 def _model_text(model: models.SimplicialModel) -> str:
     c = model.complex
     lines = [f"n={c.n} facets={len(c.facets)}"]
-    atom_sets = [model.atoms_of(facet) for facet in c.facets]
     atom_texts = {
-        atoms: " ".join(f"input({a},{v})" for a, v in sorted(atoms))
-        for atoms in set(atom_sets)
+        vector: " ".join(f"input({a},{v})" for a, v in enumerate(vector))
+        for vector in set(model.inputs)
     }
-    for i, (text, atoms) in enumerate(zip(facet_texts(c), atom_sets)):
-        lines.append(f"f{i}: {text}  [{atom_texts[atoms]}]")
+    for i, (text, vector) in enumerate(zip(facet_texts(c), model.inputs)):
+        lines.append(f"f{i}: {text}  [{atom_texts[vector]}]")
     return "\n".join(lines) + "\n"
 
 
@@ -287,9 +286,8 @@ def cmd_solve(args) -> int:
     print(f"explored: {result.explored}")
     if result.status is solver.Solvability.SOLVABLE:
         rng = random.Random(args.seed)
-        atom_pool = sorted({p for f in protocol.complex.facets for p in protocol.atoms_of(f)})
-        agents = sorted({a for a, _ in atom_pool})
-        values = sorted({v for _, v in atom_pool})
+        agents = range(protocol.n + 1)
+        values = sorted({v for vector in set(protocol.inputs) for v in vector})
         formulas = [
             solver.random_positive_formula(rng, agents, values, depth=3)
             for _ in range(100)

@@ -12,9 +12,10 @@ Text grammar (used by :func:`parse` and :func:`render`)::
          | "K[" a "]" phi | "C[{" a "," ... "}]" phi | "D[{" a "," ... "}]" phi
          | "(" phi ")"
 
-Prefix operators bind tightest, then "&", then "|"; the binary operators
-associate to the left and are kept flattened, so rendering and parsing are
-mutually inverse.
+Agent ids `a` are nonnegative integers; input values `v` are integers and
+may be negative. Prefix operators bind tightest, then "&", then "|"; the
+binary operators associate to the left and are kept flattened, so rendering
+and parsing are mutually inverse.
 """
 
 from itertools import count
@@ -92,23 +93,22 @@ def _flatten(kind: str, parts: Iterable[Formula]) -> tuple[Formula, ...]:
 FALSE = _intern("false")
 
 
-def _agents(agents: Iterable[int]) -> frozenset[int]:
-    group = frozenset(agents)
-    for a in group:
-        if type(a) is not int:
-            raise TypeError("agent ids must be integers")
-    return group
+def _agent(agent: int) -> int:
+    # Agents, and atoms' values, are plain ints: a bool equals its int, so it
+    # would intern as that int's node and render as `True`, which `parse`
+    # rejects.
+    if type(agent) is not int:
+        raise TypeError("agent ids must be integers")
+    if agent < 0:
+        raise ValueError("agent ids are nonnegative")
+    return agent
 
 
 def atom(agent: int, value: int) -> Formula:
     """The proposition that `agent` received input `value`."""
-    # Agents and values are plain ints: a bool equals its int, so it would
-    # intern as that int's node and render as `True`, which `parse` rejects.
-    if type(agent) is not int or type(value) is not int:
-        raise TypeError("atom takes integer agent and value")
-    if agent < 0:
-        raise ValueError("agent ids are nonnegative")
-    return _intern("atom", agent=agent, value=value)
+    if type(value) is not int:
+        raise TypeError("input values must be integers")
+    return _intern("atom", agent=_agent(agent), value=value)
 
 
 def or_(*parts: Formula) -> Formula:
@@ -134,19 +134,15 @@ def not_(phi: Formula) -> Formula:
 
 
 def know(agent: int, phi: Formula) -> Formula:
-    if type(agent) is not int:
-        raise TypeError("agent ids must be integers")
-    if agent < 0:
-        raise ValueError("agent ids are nonnegative integers")
-    return _intern("know", agent=agent, children=(_check(phi),))
+    return _intern("know", agent=_agent(agent), children=(_check(phi),))
 
 
 def common(agents: Iterable[int], phi: Formula) -> Formula:
-    return _intern("common", agents=_agents(agents), children=(_check(phi),))
+    return _intern("common", agents=frozenset(map(_agent, agents)), children=(_check(phi),))
 
 
 def distributed(agents: Iterable[int], phi: Formula) -> Formula:
-    return _intern("dist", agents=_agents(agents), children=(_check(phi),))
+    return _intern("dist", agents=frozenset(map(_agent, agents)), children=(_check(phi),))
 
 
 TRUE = not_(FALSE)
@@ -215,8 +211,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("sym", ch, i))
             i += 1
             continue
-        if ch.isdigit():
-            j = i
+        if ch.isdigit() or ch == "-" and text[i + 1:i + 2].isdigit():
+            j = i + 1
             while j < size and text[j].isdigit():
                 j += 1
             tokens.append(("int", text[i:j], i))
@@ -261,12 +257,19 @@ class _Parser:
         self.advance()
         return int(value)
 
+    def expect_agent(self) -> int:
+        at = self.peek()[2]
+        agent = self.expect_int()
+        if agent < 0:
+            raise ParseError(f"agent ids are nonnegative, found {agent}", at)
+        return agent
+
     def agent_set(self) -> frozenset[int]:
         self.expect("{")
-        agents = [self.expect_int()]
+        agents = [self.expect_agent()]
         while self.peek()[:2] == ("sym", ","):
             self.advance()
-            agents.append(self.expect_int())
+            agents.append(self.expect_agent())
         self.expect("}")
         return frozenset(agents)
 
@@ -293,7 +296,7 @@ class _Parser:
             self.advance()
             self.expect("[")
             if value == "K":
-                agent = self.expect_int()
+                agent = self.expect_agent()
                 self.expect("]")
                 return know(agent, self.unary())
             agents = self.agent_set()
@@ -310,7 +313,7 @@ class _Parser:
         if (kind, value) == ("word", "input"):
             self.advance()
             self.expect("(")
-            agent = self.expect_int()
+            agent = self.expect_agent()
             self.expect(",")
             val = self.expect_int()
             self.expect(")")

@@ -14,7 +14,6 @@ from itertools import combinations
 from typing import Callable, Iterable, TypeVar
 
 from .adversaries import Adversary, waitfree
-from .complexes import Facet
 from .formulas import (
     FALSE,
     Formula,
@@ -147,7 +146,6 @@ def waitfree_kset_obstruction(n: int, k: int) -> Formula:
 class ObstructionReport:
     formula: Formula
     task_verdict: Verdict
-    protocol_counterexamples: tuple[Facet, ...]
     counterexample_ids: tuple[int, ...]
     is_obstruction: bool
 
@@ -158,17 +156,17 @@ def verify_obstruction(
     phi: Formula,
     cap: int = 10,
 ) -> ObstructionReport:
-    """Check positivity, validity in the task, and refutation in the protocol."""
+    """Check positivity, validity in the task, and refutation in the protocol,
+    which the ids of up to `cap` protocol facets falsifying `phi` witness."""
     if task.complex.n != protocol.complex.n:
         raise ValueError("task and protocol must share the agent set")
     task_verdict = task.validity(phi)
-    counterexamples = protocol.counterexamples(phi, cap)
+    ids = tuple(protocol._failing_ids(phi, cap))
     return ObstructionReport(
         formula=phi,
         task_verdict=task_verdict,
-        protocol_counterexamples=tuple(counterexamples),
-        counterexample_ids=tuple(protocol.complex.index(f) for f in counterexamples),
-        is_obstruction=phi.positive and task_verdict.is_valid and bool(counterexamples),
+        counterexample_ids=ids,
+        is_obstruction=phi.positive and task_verdict.is_valid and bool(ids),
     )
 
 

@@ -1,8 +1,9 @@
 """Kripke models induced from chromatic complexes, and formula satisfaction.
 
 Worlds are facets; agent `a` cannot distinguish two worlds exactly when they
-share their `a`-colored vertex. Atoms record input values, taken either from
-the vertex observation itself or, for product models, from its left half.
+share their `a`-colored vertex. Each facet is labelled with its input vector,
+read either from the vertex observations themselves or, for product models,
+from their left halves; the atom `input(a, v)` holds where entry `a` is `v`.
 """
 
 import operator
@@ -42,7 +43,9 @@ class Verdict:
 
 
 class SimplicialModel:
-    """An immutable model: a complex plus, per facet, its set of input atoms.
+    """An immutable model: a complex plus, per facet id, its input vector.
+
+    `inputs[i][a]` is agent a's input at facet i; equal vectors are one tuple.
 
     Satisfaction is set-at-a-time (bitset): each formula node is evaluated
     once for the whole model, as a Python-int mask over facet ids with bit i
@@ -53,12 +56,12 @@ class SimplicialModel:
     lifetime of the model.
     """
 
-    def __init__(self, complex: ChromaticComplex, atoms: tuple[frozenset, ...]):
-        if len(atoms) != len(complex.facets):
-            raise ValueError("one atom set per facet required")
+    def __init__(self, complex: ChromaticComplex, inputs: tuple[tuple[int, ...], ...]):
+        if len(inputs) != len(complex.facets):
+            raise ValueError("one input vector per facet required")
         self.complex = complex
-        self._atoms = atoms
-        self._all = (1 << len(atoms)) - 1
+        self.inputs = inputs
+        self._all = (1 << len(inputs)) - 1
         self._masks: dict[int, int] = {}
         self._atom_masks: dict[tuple[int, int], int] | None = None
         self._partitions: dict[tuple[str, frozenset[int]], list] = {}
@@ -68,9 +71,6 @@ class SimplicialModel:
     @property
     def n(self) -> int:
         return self.complex.n
-
-    def atoms_of(self, facet: Facet) -> frozenset:
-        return self._atoms[self.complex.index(facet)]
 
     # -- satisfaction ------------------------------------------------------
 
@@ -102,7 +102,7 @@ class SimplicialModel:
             mask = 0
         elif kind == "atom":
             if self._atom_masks is None:
-                self._atom_masks = _atom_masks(self._atoms)
+                self._atom_masks = _atom_masks(self.inputs)
             mask = self._atom_masks.get((phi.agent, phi.value), 0)
         elif kind == "or":
             mask = reduce(operator.or_, kids, 0)
@@ -115,7 +115,7 @@ class SimplicialModel:
             # inside the child's mask; K[a] is D[{a}].
             agents = frozenset((phi.agent,)) if kind == "know" else phi.agents
             kind = "dist" if kind == "know" else kind
-            if len(self._atoms) > BLOCK_ID_CUTOVER:
+            if len(self.inputs) > BLOCK_ID_CUTOVER:
                 mask = _inside_blocks(self._block_ids(kind, agents), kids[0], self._all)
             else:
                 mask = sum(b for b in self._blocks(kind, agents) if b & kids[0] == b)
@@ -179,19 +179,21 @@ class SimplicialModel:
 
     # -- queries -----------------------------------------------------------
 
-    def validity(self, phi: Formula) -> Verdict:
-        """Valid, or the first falsifying facet in canonical order."""
-        self._validate_agents(phi)
-        first = next(_bits(self._all ^ self._mask(phi)), None)
-        return Verdict(None if first is None else self.complex.facets[first])
-
-    def counterexamples(self, phi: Formula, cap: int = 10) -> list[Facet]:
-        """Up to `cap` falsifying facets, in canonical order."""
+    def _failing_ids(self, phi: Formula, cap: int) -> list[int]:
+        """The ids of up to `cap` facets where `phi` fails, ascending."""
         if cap < 1:
             raise ValueError(f"counterexample cap must be at least 1, got {cap}")
         self._validate_agents(phi)
-        failing = _bits(self._all ^ self._mask(phi))
-        return [self.complex.facets[i] for i in islice(failing, cap)]
+        return list(islice(_bits(self._all ^ self._mask(phi)), cap))
+
+    def validity(self, phi: Formula) -> Verdict:
+        """Valid, or the first falsifying facet in canonical order."""
+        first = self._failing_ids(phi, 1)
+        return Verdict(self.complex.facets[first[0]] if first else None)
+
+    def counterexamples(self, phi: Formula, cap: int = 10) -> list[Facet]:
+        """Up to `cap` falsifying facets, in canonical order."""
+        return [self.complex.facets[i] for i in self._failing_ids(phi, cap)]
 
     def common_reach(self, facet: Facet, agents) -> frozenset[Facet]:
         """Facets reachable by chains of indistinguishability steps in `agents`."""
@@ -204,28 +206,28 @@ class SimplicialModel:
         return frozenset(compress(self.complex.facets, map(ids[idx].__eq__, ids)))
 
 
-def _atom_masks(atoms: tuple[frozenset, ...]) -> dict[tuple[int, int], int]:
-    """The facet mask of each atom, read as the binary digits of an int,
-    highest facet id first, in time linear in the facets per atom. When at
-    most 256 distinct atom sets occur, they are numbered, and each atom's
-    digits are one byte translation of the column of set numbers; else each
-    facet writes its digit into the digits of every atom it holds."""
-    sets = dict.fromkeys(atoms)
-    if len(sets) > 256:
+def _atom_masks(inputs: tuple[tuple[int, ...], ...]) -> dict[tuple[int, int], int]:
+    """The facet mask of each atom `(agent, value)`, read as the binary digits
+    of an int, highest facet id first, in time linear in the facets per atom.
+    When at most 256 distinct input vectors occur, they are numbered, and each
+    atom's digits are one byte translation of the column of vector numbers;
+    else each facet writes its digit into the digits of every atom it holds."""
+    vectors = dict.fromkeys(inputs)
+    if len(vectors) > 256:
         # An atom's digits start as a copy of all zeros, made when first held.
-        digits = defaultdict(bytearray(b"0" * len(atoms)).copy)
-        last = len(atoms) - 1
-        for i, entry in enumerate(atoms):
-            for pair in entry:
+        digits = defaultdict(bytearray(b"0" * len(inputs)).copy)
+        last = len(inputs) - 1
+        for i, vector in enumerate(inputs):
+            for pair in enumerate(vector):
                 digits[pair][last - i] = 49  # ord("1")
         return {pair: int(table, 2) for pair, table in digits.items()}
-    # Per atom, the digit of each set number: "1" for the sets holding it.
+    # Per atom, the digit of each vector number: "1" for the vectors holding it.
     digits = defaultdict(bytearray(b"0" * 256).copy)
-    for k, entry in enumerate(sets):
-        for pair in entry:
+    for k, vector in enumerate(vectors):
+        for pair in enumerate(vector):
             digits[pair][k] = 49
-    ids = {entry: k for k, entry in enumerate(sets)}
-    column = bytes(map(ids.__getitem__, reversed(atoms)))
+    ids = {vector: k for k, vector in enumerate(vectors)}
+    column = bytes(map(ids.__getitem__, reversed(inputs)))
     return {pair: int(column.translate(table), 2) for pair, table in digits.items()}
 
 
@@ -256,7 +258,7 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def induce_model(complex: ChromaticComplex, projection: str = "obs") -> SimplicialModel:
-    """Build the model whose atoms read input values off each facet.
+    """Build the model whose input vectors are read off each facet.
 
     `projection` selects where the input value lives: `"obs"` for complexes
     whose observations are the values themselves, `"left"` for product
@@ -287,14 +289,13 @@ def induce_model(complex: ChromaticComplex, projection: str = "obs") -> Simplici
     # vertex's obs. A vertex is the tuple (color, obs), so the inputs of all
     # vertex occurrences are read in one C-level pass, and a facet holds the
     # colors 0..n in order, so they regroup n + 1 at a time into each facet's
-    # tuple of inputs. That tuple determines its atom set; each distinct set
-    # is made once.
+    # input vector. Equal vectors are interned to one tuple.
     inputs = map(operator.itemgetter(1), chain.from_iterable(complex.facets))
     if projection == "left":
         inputs = map(operator.itemgetter(0), inputs)
-    keys = list(zip(*[inputs] * (complex.n + 1)))
-    atoms = {key: frozenset(enumerate(key)) for key in set(keys)}
-    return SimplicialModel(complex, tuple(map(atoms.__getitem__, keys)))
+    vectors = list(zip(*[inputs] * (complex.n + 1)))
+    shared = {vector: vector for vector in set(vectors)}
+    return SimplicialModel(complex, tuple(map(shared.__getitem__, vectors)))
 
 
 def _morphism_images(
@@ -319,7 +320,7 @@ def _morphism_images(
     for i, (facet, j) in enumerate(zip(source.complex.facets, images)):
         if j is None:
             return f"facet {facet.text()} maps outside the target complex", images
-        if target._atoms[j] != source._atoms[i]:
+        if target.inputs[j] != source.inputs[i]:
             return f"facet {facet.text()} changes its labeling", images
     return None, images
 
@@ -334,11 +335,11 @@ def morphism_violation(
 
 
 def model_to_json(model: SimplicialModel) -> dict:
-    """`complex_to_json` plus each facet's sorted atoms; facets with the same
-    atom set share one list."""
+    """`complex_to_json` plus each facet's atoms, as `[agent, value]` pairs in
+    agent order; facets with the same input vector share one list."""
     doc = complex_to_json(model.complex)
-    lists = {atoms: sorted(atoms) for atoms in set(model._atoms)}
-    doc["atoms"] = [lists[atoms] for atoms in model._atoms]
+    lists = {vector: list(enumerate(vector)) for vector in set(model.inputs)}
+    doc["atoms"] = list(map(lists.__getitem__, model.inputs))
     return doc
 
 
@@ -362,19 +363,20 @@ def model_from_json(data: dict) -> SimplicialModel:
                 "malformed model document: 'atoms' must hold one list of "
                 "[agent, value] pairs per facet"
             ) from None
-        if tuple(recorded) != tuple(map(model._atoms.__getitem__, ids)):
+        labels = {vector: frozenset(enumerate(vector)) for vector in set(model.inputs)}
+        if recorded != [labels[model.inputs[i]] for i in ids]:
             raise ValueError("recorded atoms disagree with the complex")
     return model
 
 
-def complex_to_dot(complex: ChromaticComplex, name: str = "model") -> str:
+def complex_to_dot(complex: ChromaticComplex) -> str:
     """Graphviz rendering of the adjacency graph, edges labeled by shared agents.
 
     Facets are adjacent when they share a vertex, so each facet's edges to
     later facets are read off its vertices' stars (their facet ids,
     ascending), in color order, instead of testing every pair of facets.
     """
-    lines = [f"graph {name} {{", "  node [shape=box];"]
+    lines = ["graph model {", "  node [shape=box];"]
     for i, text in enumerate(facet_texts(complex)):
         lines.append(f'  f{i} [label="{text}"];')
     ids = complex.vertex_id

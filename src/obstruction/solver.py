@@ -60,12 +60,11 @@ def find_morphism(
     for v in task.complex.vertices():
         decisions.setdefault((v.color, v.obs[0]), []).append(v.obs[1])
 
-    # Allowed decision vectors per input facet of the task, keyed by its input
-    # values (facets are pure, so position i is color i). masks[inputs][i][d]
-    # has bit j set when the j-th allowed vector decides d at position i.
+    # Allowed decision vectors per input vector of the task (facets are pure,
+    # so position i is color i). masks[inputs][i][d] has bit j set when the
+    # j-th allowed vector decides d at position i.
     allowed: dict[tuple, list[tuple]] = {}
-    for f in task.complex.facets:
-        inputs = tuple([v.obs[0] for v in f])
+    for f, inputs in zip(task.complex.facets, task.inputs):
         allowed.setdefault(inputs, []).append(tuple([v.obs[1] for v in f]))
     masks: dict[tuple, list[dict]] = {}
     for inputs, vectors in allowed.items():
@@ -79,8 +78,7 @@ def find_morphism(
     live: list[int] = []
     incidence: dict[Vertex, list[tuple[int, dict]]] = {}
     no_vectors = [{}] * (protocol.complex.n + 1)
-    for i, facet in enumerate(protocol.complex.facets):
-        inputs = tuple([v.obs[0] for v in facet])
+    for i, (facet, inputs) in enumerate(zip(protocol.complex.facets, protocol.inputs)):
         live.append((1 << len(allowed.get(inputs, ()))) - 1)
         for v, column in zip(facet, masks.get(inputs, no_vectors)):
             incidence.setdefault(v, []).append((i, column))
@@ -130,25 +128,12 @@ def find_morphism(
     witness = {
         v: Vertex(v.color, (v.obs[0], chosen[v])) for v in vertices
     }
-    problem = solution_violation(witness, protocol, task)
+    # A facet's input vector is read off its vertices, so a map that keeps
+    # every facet's vector keeps every vertex's input.
+    problem = morphism_violation(witness, protocol, task)
     if problem is not None:  # pragma: no cover - internal consistency guard
         raise RuntimeError(f"search produced an invalid witness: {problem}")
     return SolvabilityResult(Solvability.SOLVABLE, witness, explored)
-
-
-def solution_violation(
-    delta: dict[Vertex, Vertex],
-    protocol: SimplicialModel,
-    task: SimplicialModel,
-) -> str | None:
-    """Morphism conditions plus preservation of the input half of every vertex."""
-    problem = morphism_violation(delta, protocol, task)
-    if problem is not None:
-        return problem
-    for v, image in delta.items():
-        if v.obs[0] != image.obs[0]:
-            return f"vertex {v.text()} changes its input component"
-    return None
 
 
 def knowledge_gain_check(

@@ -123,7 +123,8 @@ def naive_satisfies(model: SimplicialModel, facet: Facet, phi) -> bool:
         if kind == "false":
             return False
         if kind == "atom":
-            return (node.agent, node.value) in model.atoms_of(x)
+            vector = model.inputs[model.complex.index(x)]
+            return node.agent < len(vector) and vector[node.agent] == node.value
         if kind == "or":
             return any(ev(x, c) for c in node.children)
         if kind == "and":
@@ -158,10 +159,10 @@ def naive_product_update(model: SimplicialModel, action: ActionModel) -> Simplic
     return induce_model(ChromaticComplex(model.complex.n, kept), "left")
 
 
-def pairwise_dot(complex: ChromaticComplex, name: str = "model") -> str:
+def pairwise_dot(complex: ChromaticComplex) -> str:
     """Reference for `models.complex_to_dot`: one edge per pair of facets
     that share colors, found by testing every pair."""
-    lines = [f"graph {name} {{", "  node [shape=box];"]
+    lines = ["graph model {", "  node [shape=box];"]
     facets = complex.facets
     for i, text in enumerate(facet_texts(complex)):
         lines.append(f'  f{i} [label="{text}"];')

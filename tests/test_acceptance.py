@@ -125,7 +125,7 @@ def test_criterion_3a_waitfree_agreement_obstruction():
             report = verify_obstruction(agreement, rounds, phi, cap=10_000)
             assert report.formula.positive
             assert report.is_obstruction
-            assert lazy_facet in report.protocol_counterexamples
+            assert rounds.complex.index(lazy_facet) in report.counterexample_ids
     _passed(3, "wait-free agreement obstruction at n=2 for k=1,2", clock)
 
 
@@ -218,7 +218,8 @@ def test_criterion_6_morphism_search_cross_check():
         for facet in snapshot.complex.facets:
             image = map_facet(witness, facet)
             assert image in trivial.complex
-            assert trivial.atoms_of(image) == snapshot.atoms_of(facet)
+            label = snapshot.inputs[snapshot.complex.index(facet)]
+            assert trivial.inputs[trivial.complex.index(image)] == label
             assert project_left(image) == project_left(facet)
         assert morphism_violation(witness, snapshot, trivial) is None
     _passed(6, "search refutes consensus and solves the trivial task at n=1", clock)

@@ -348,6 +348,28 @@ def test_export_action_model(tmp_path, capsys):
     assert "pre:" in out
 
 
+def test_negative_inputs_round_trip(tmp_path, capsys):
+    action, again = tmp_path / "action.json", tmp_path / "again.json"
+    code, _, _ = run(capsys, "build", "sa:1", "--n", "1", "--inputs=-1,0", "--out", str(action))
+    assert code == 0
+    code, text, _ = run(capsys, "export", str(action), "--format", "text")
+    assert code == 0
+    assert "input(0,-1)" in text
+    code, _, _ = run(capsys, "export", str(action), "--format", "json", "--out", str(again))
+    assert code == 0
+    assert again.read_bytes() == action.read_bytes()
+
+
+def test_check_names_a_negative_input(tmp_path, capsys):
+    model = tmp_path / "bc.json"
+    code, _, _ = run(capsys, "build", "I[bc]", "--n", "1", "--inputs=-1,0", "--out", str(model))
+    assert code == 0
+    code, out, _ = run(capsys, "check", str(model), "--formula", "input(0,-1) | input(0,0)")
+    assert (code, out) == (0, "valid\n")
+    code, out, _ = run(capsys, "check", str(model), "--formula", "input(0,-1)")
+    assert code == 1 and out.startswith("counterexample")
+
+
 def test_export_reads_each_precondition_with_its_listed_facet(tmp_path, capsys):
     path = tmp_path / "bc.json"
     code, _, _ = run(capsys, "build", "bc", "--n", "1", "--out", str(path))

@@ -115,6 +115,39 @@ def test_parse_error_positions():
         parse("false false")
 
 
+def test_values_may_be_negative():
+    assert parse("input(0,-1)") is atom(0, -1)
+    assert render(atom(2, -12)) == "input(2,-12)"
+    with pytest.raises(ParseError, match="unexpected character '-'") as err:
+        parse("input(0,- 1)")
+    assert err.value.position == 8
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("input(-1,0)", 6), ("K[-1] false", 2), ("C[{0,-1}] false", 5), ("D[{-2}] false", 3)],
+)
+def test_negative_agents_are_parse_errors_at_their_position(text, position):
+    with pytest.raises(ParseError, match="agent ids are nonnegative") as err:
+        parse(text)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: atom(-1, 0),
+        lambda: know(-1, FALSE),
+        lambda: common([-1], FALSE),
+        lambda: distributed([0, -2], FALSE),
+    ],
+    ids=["atom", "know", "common", "distributed"],
+)
+def test_negative_agents_are_rejected(build):
+    with pytest.raises(ValueError, match="agent ids are nonnegative"):
+        build()
+
+
 def test_agent_set_requires_entry():
     with pytest.raises(ParseError):
         parse("C[{}] input(0,0)")
@@ -124,7 +157,9 @@ def test_agent_set_requires_entry():
 def formulas(draw, max_depth=4):
     if max_depth == 0:
         return draw(
-            st.sampled_from([FALSE, atom(0, 0), atom(1, 1), atom(2, 2), atom(1, 3)])
+            st.sampled_from(
+                [FALSE, atom(0, 0), atom(1, 1), atom(2, 2), atom(1, 3), atom(0, -1), atom(2, -12)]
+            )
         )
     kind = draw(st.integers(0, 7))
     if kind <= 1:

@@ -287,8 +287,8 @@ def test_consensus_obstruction_report():
     assert report.is_obstruction
     assert report.formula.positive
     assert report.task_verdict.is_valid
-    assert report.protocol_counterexamples[0] == protocol.validity(report.formula).counterexample
-    assert report.protocol_counterexamples
+    first = protocol.complex.facets[report.counterexample_ids[0]]
+    assert first == protocol.validity(report.formula).counterexample
     doc = report_to_json(report)
     assert doc["is_obstruction"] and doc["task_valid"] and doc["positive"]
     assert doc["protocol_counterexamples"]
@@ -320,7 +320,7 @@ def test_agreement_obstruction_counterexample_is_lazy_diagonal():
     assert report.is_obstruction
     everyone = {0, 1, 2}
     lazy = protocol_facet(protocol, (0, 1, 2), [everyone, everyone, everyone])
-    assert lazy in report.protocol_counterexamples
+    assert protocol.complex.index(lazy) in report.counterexample_ids
 
 
 def test_same_model_is_never_an_obstruction(demo_model):
@@ -335,8 +335,22 @@ def test_counterexample_cap_respected():
     protocol = apply_action(initial, immediate_snapshot_action(2, [0, 1]))
     phi = FALSE
     report = verify_obstruction(task, protocol, phi, cap=3)
-    assert len(report.protocol_counterexamples) == 3
+    assert report.counterexample_ids == (0, 1, 2)
     assert not report.is_obstruction  # fails validity in the task too
+
+
+def test_verify_obstruction_reads_counterexample_ids_off_the_mask():
+    initial = initial_model(2, [0, 1, 2])
+    task = apply_action(initial, set_agreement_action(2, 1))
+    protocol = apply_action(initial, round_operator_action(2, waitfree(2)))
+    facets = protocol.complex.facets
+    for phi, count in [(adversary_obstruction(2, waitfree(2)), 1), (know(0, atom(1, 1)), 10)]:
+        report = verify_obstruction(task, protocol, phi)
+        # No facet was hashed to find its id.
+        assert protocol.complex._pos is None
+        ids = report.counterexample_ids
+        assert [facets[i] for i in ids] == protocol.counterexamples(phi, 10)
+        assert len(ids) == count
 
 
 def test_verdict_shapes():

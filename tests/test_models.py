@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -54,21 +55,18 @@ def someone_has(value):
 
 def test_labels_read_off_vertices(demo_model):
     x3 = facet_with_values(demo_model, (0, 3, 2))
-    assert demo_model.atoms_of(x3) == frozenset({(0, 0), (1, 3), (2, 2)})
+    assert demo_model.inputs[demo_model.complex.index(x3)] == (0, 3, 2)
 
 
 def test_single_facet_label():
     model = induce_model(ChromaticComplex(0, [Facet([Vertex(0, 7)])]))
-    assert model.atoms_of(model.complex.facets[0]) == frozenset({(0, 7)})
+    assert model.inputs == ((7,),)
 
 
 def test_product_labels_use_left_half():
     model = apply_action(initial_model(1, [0, 1]), binary_consensus_action(1))
-    for f in model.complex.facets:
-        left = project_left(f)
-        assert model.atoms_of(f) == frozenset(
-            (v.color, v.obs) for v in left.vertices
-        )
+    for f, vector in zip(model.complex.facets, model.inputs):
+        assert vector == tuple(v.obs for v in project_left(f).vertices)
 
 
 def test_knowledge_at_demo_facets(demo_model):
@@ -228,7 +226,7 @@ def test_memoized_evaluation_matches_naive(demo_model):
     rng = random.Random(7)
     for model in models:
         agents = list(range(model.n + 1))
-        values = sorted({v for f in model.complex.facets for _, v in model.atoms_of(f)})
+        values = sorted({v for vector in model.inputs for v in vector})
         for _ in range(60):
             phi = random_positive_formula(rng, agents, values, depth=rng.randint(1, 4))
             if rng.random() < 0.4:
@@ -302,12 +300,12 @@ def test_block_ids_on_the_split_pair_protocol(monkeypatch):
         assert model.common_reach(start, group) == _component(stars, start, group)
 
 
-def _bitwise_atom_masks(atoms) -> dict:
+def _bitwise_atom_masks(inputs) -> dict:
     """Reference for `models._atom_masks`: each facet's bit OR-ed into the
     mask of every atom it holds."""
     masks: dict = {}
-    for i, entry in enumerate(atoms):
-        for pair in entry:
+    for i, vector in enumerate(inputs):
+        for pair in enumerate(vector):
             masks[pair] = masks.get(pair, 0) | 1 << i
     return masks
 
@@ -315,22 +313,22 @@ def _bitwise_atom_masks(atoms) -> dict:
 def test_atom_masks_on_the_split_pair_protocol():
     adversary = from_survivor_sets(3, [{0, 1}, {2, 3}])
     model = apply_action(initial_model(3, range(4)), round_operator_action(3, adversary))
-    assert len(set(model._atoms)) == 256  # the most that a byte per facet numbers
-    assert _atom_masks(model._atoms) == _bitwise_atom_masks(model._atoms)
+    inputs = model.inputs
+    assert len(set(inputs)) == 256  # the most that a byte per facet numbers
+    # Equal vectors are one object.
+    assert len({id(vector) for vector in inputs}) == 256
+    assert _atom_masks(inputs) == _bitwise_atom_masks(inputs)
 
 
 def test_atom_masks_beyond_a_byte_of_atom_sets():
     rng = random.Random(5)
-    atoms = tuple(
-        frozenset((a, rng.randrange(6)) for a in range(rng.randrange(5)))
-        for _ in range(3000)
-    )
-    assert len(set(atoms)) > 256 and frozenset() in atoms
-    assert _atom_masks(atoms) == _bitwise_atom_masks(atoms)
-    # One atom set per facet: 6 ** 5 of them.
-    atoms = initial_model(4, range(6))._atoms
-    assert len(set(atoms)) == 7776
-    assert _atom_masks(atoms) == _bitwise_atom_masks(atoms)
+    inputs = tuple(tuple(rng.randrange(-2, 4) for _ in range(4)) for _ in range(3000))
+    assert len(set(inputs)) > 256
+    assert _atom_masks(inputs) == _bitwise_atom_masks(inputs)
+    # One input vector per facet: 6 ** 5 of them.
+    inputs = initial_model(4, range(6)).inputs
+    assert len(set(inputs)) == 7776
+    assert _atom_masks(inputs) == _bitwise_atom_masks(inputs)
 
 
 def _component(stars, start, group) -> frozenset:
@@ -487,16 +485,14 @@ def test_model_json_round_trip(demo_model):
     doc = model_to_json(demo_model)
     again = model_from_json(doc)
     assert again.complex == demo_model.complex
-    for f in demo_model.complex.facets:
-        assert again.atoms_of(f) == demo_model.atoms_of(f)
+    assert again.inputs == demo_model.inputs
 
 
 def test_product_model_json_round_trip():
     model = apply_action(initial_model(1, [0, 1]), binary_consensus_action(1))
     again = model_from_json(model_to_json(model))
     assert again.complex == model.complex
-    for f in model.complex.facets:
-        assert again.atoms_of(f) == model.atoms_of(f)
+    assert again.inputs == model.inputs
 
 
 def test_model_json_atoms_follow_the_listed_facets():
@@ -505,12 +501,23 @@ def test_model_json_atoms_follow_the_listed_facets():
     doc["facets"].reverse()
     doc["atoms"].reverse()
     again = model_from_json(doc)
-    assert again.complex == model.complex and again._atoms == model._atoms
+    assert again.complex == model.complex and again.inputs == model.inputs
     # A facet listed twice is read once, and must carry the same atoms.
     doc["facets"].append(doc["facets"][0])
     doc["atoms"].append(doc["atoms"][0])
-    assert model_from_json(doc)._atoms == model._atoms
+    assert model_from_json(doc).inputs == model.inputs
     doc["atoms"][-1] = next(a for a in doc["atoms"] if a != doc["atoms"][0])
+    with pytest.raises(ValueError, match="recorded atoms disagree"):
+        model_from_json(doc)
+
+
+def test_model_json_atoms_compare_as_sets(demo_model):
+    doc = json.loads(json.dumps(model_to_json(demo_model)))
+    # Each facet's atom pairs reversed, and its first pair repeated.
+    doc["atoms"] = [pairs[::-1] + pairs[:1] for pairs in doc["atoms"]]
+    assert model_from_json(doc).inputs == demo_model.inputs
+    agent, value = doc["atoms"][0][0]
+    doc["atoms"][0][0] = [agent, value + 1]
     with pytest.raises(ValueError, match="recorded atoms disagree"):
         model_from_json(doc)
 

@@ -6,13 +6,12 @@ from obstruction.adversaries import from_survivor_sets, waitfree
 from obstruction.complexes import Vertex
 from obstruction.formulas import atom, know, not_
 from obstruction.generators import binary_consensus_obstruction, verify_obstruction
-from obstruction.models import SimplicialModel, morphism_violation
+from obstruction.models import morphism_violation
 from obstruction.solver import (
     Solvability,
     find_morphism,
     knowledge_gain_check,
     random_positive_formula,
-    solution_violation,
 )
 from obstruction.tasks import (
     apply_action,
@@ -73,13 +72,24 @@ def test_trivial_task_solvable_with_verified_witness():
         assert map_facet(witness, facet) in task.complex
     # Labeling preservation.
     for facet in protocol.complex.facets:
-        assert task.atoms_of(map_facet(witness, facet)) == protocol.atoms_of(facet)
+        image = task.complex.index(map_facet(witness, facet))
+        assert task.inputs[image] == protocol.inputs[protocol.complex.index(facet)]
     # Input projection commutes.
     for facet in protocol.complex.facets:
         assert project_left(map_facet(witness, facet)) == project_left(facet)
 
     assert morphism_violation(witness, protocol, task) is None
-    assert solution_violation(witness, protocol, task) is None
+
+
+def test_a_map_that_changes_inputs_changes_the_labeling():
+    protocol, task = snapshot_protocol(), trivial_task()
+    # Each facet lands on the task facet that decides its flipped inputs.
+    flip = {
+        v: Vertex(v.color, (1 - v.obs[0], 1 - v.obs[0]))
+        for v in protocol.complex.vertices()
+    }
+    problem = morphism_violation(flip, protocol, task)
+    assert problem.endswith("changes its labeling"), problem
 
 
 def test_trivial_task_has_single_candidate_per_vertex():
@@ -93,7 +103,7 @@ def test_protocol_maps_onto_itself():
     protocol = snapshot_protocol()
     result = find_morphism(protocol, protocol)
     assert result.status is Solvability.SOLVABLE
-    assert solution_violation(result.witness, protocol, protocol) is None
+    assert morphism_violation(result.witness, protocol, protocol) is None
 
 
 def test_budget_exhaustion_reports_resource_limit():
@@ -239,22 +249,6 @@ def test_knowledge_gain_matches_point_form_reference(name):
         expected = naive_knowledge_gain(witness, protocol, task, [phi])
         assert knowledge_gain_check(witness, protocol, task, [phi]) is expected, phi
     assert knowledge_gain_check(witness, protocol, task, formulas)
-
-
-def test_solution_violation_reports_a_changed_input():
-    protocol, task = snapshot_protocol(), trivial_task()
-    # With no atoms, labeling cannot see inputs, so only the input check can.
-    blank = [
-        SimplicialModel(m.complex, tuple(frozenset() for _ in m.complex.facets))
-        for m in (protocol, task)
-    ]
-    flip = {
-        v: Vertex(v.color, (1 - v.obs[0], 1 - v.obs[0]))
-        for v in protocol.complex.vertices()
-    }
-    assert morphism_violation(flip, *blank) is None
-    problem = solution_violation(flip, *blank)
-    assert problem.endswith("changes its input component"), problem
 
 
 def test_random_positive_formulas_are_deterministic():

@@ -306,7 +306,7 @@ def test_product_matches_per_pair_reference(name):
     product = apply_action(model, action)
     expected = naive_product_update(model, action)
     assert product.complex == expected.complex
-    assert product._atoms == expected._atoms
+    assert product.inputs == expected.inputs
     assert_checked_facets(product.complex)
 
 
