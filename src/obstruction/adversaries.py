@@ -37,9 +37,6 @@ class Adversary:
     def csize(self) -> int:
         return min(len(c) for c in self.cores())
 
-    def survivor_list(self) -> list[tuple[int, ...]]:
-        return sorted(tuple(sorted(s)) for s in self.survivors)
-
 
 def from_survivor_sets(n: int, sets: Iterable[Iterable[int]]) -> Adversary:
     """Normalize the given survivor sets to the minimal antichain."""
@@ -61,10 +58,6 @@ def from_survivor_sets(n: int, sets: Iterable[Iterable[int]]) -> Adversary:
 def waitfree(n: int) -> Adversary:
     """The adversary whose survivor sets are the singletons."""
     return from_survivor_sets(n, [{a} for a in range(n + 1)])
-
-
-def adversary_to_json(adv: Adversary) -> dict:
-    return {"n": adv.n, "survivor_sets": [list(s) for s in adv.survivor_list()]}
 
 
 def adversary_from_json(data: dict) -> Adversary:

@@ -42,6 +42,16 @@ def _inputs_arg(text: str) -> tuple[int, ...]:
     return values
 
 
+def _joined_inputs(argv: list[str]) -> list[str]:
+    """`argv` with each `--inputs VALUE`, the flag maybe abbreviated, written
+    `--inputs=VALUE`: argparse takes a separate `-1,0` for an option."""
+    joined = list(argv)
+    for i in reversed(range(len(joined) - 1)):
+        if len(joined[i]) > 2 and "--inputs".startswith(joined[i]):
+            joined[i:i + 2] = [f"{joined[i]}={joined[i + 1]}"]
+    return joined
+
+
 class UsageError(Exception):
     pass
 
@@ -381,7 +391,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_inputs(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except UsageError as exc:

@@ -8,8 +8,8 @@ vertex exactly when that agent's color and observation coincide in both.
 
 Tuple order compares frozenset views by inclusion, so vertices and facets are
 never sorted by their natural order. The builders in this package share one
-object per distinct vertex across the facets of a complex (see
-`vertex_table`; products key theirs by the factors' vertex ids). A complex
+object per distinct vertex across the facets of a complex (products key
+theirs by the factors' vertex ids). A complex
 keeps its facets in `Facet.key` order, computed by ranking its distinct
 vertices once by `Vertex.key` and comparing facets by their tuples of
 integer ranks (`_key_order`, which the view-action builder also calls on
@@ -18,11 +18,12 @@ factors' vertex ids instead (see `_product_facets`).
 """
 
 from operator import add
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # An observation is one of:
 #   int                         -- a plain value (input or decision)
-#   frozenset[(int, Obs)]       -- a view: the (agent, observation) pairs seen
+#   frozenset[(int, Obs)]       -- a view: the (agent, observation) pairs seen,
+#                                  at most one per agent
 #   (Obs, Obs)                  -- a vertex payload of a product complex
 Obs = int | frozenset | tuple
 
@@ -43,8 +44,7 @@ def obs_text(obs: Obs) -> str:
     if isinstance(obs, int):
         return str(obs)
     if isinstance(obs, frozenset):
-        entries = sorted(obs, key=lambda e: (e[0], obs_key(e[1])))
-        return "{" + ",".join(f"{a}:{obs_text(o)}" for a, o in entries) + "}"
+        return "{" + ",".join(f"{a}:{obs_text(o)}" for a, o in sorted(obs)) + "}"
     return f"({obs_text(obs[0])},{obs_text(obs[1])})"
 
 
@@ -52,8 +52,7 @@ def obs_to_json(obs: Obs):
     if isinstance(obs, int):
         return obs
     if isinstance(obs, frozenset):
-        entries = sorted(obs, key=lambda e: (e[0], obs_key(e[1])))
-        return [[a, obs_to_json(o)] for a, o in entries]
+        return [[a, obs_to_json(o)] for a, o in sorted(obs)]
     return [obs_to_json(obs[0]), obs_to_json(obs[1])]
 
 
@@ -70,6 +69,8 @@ def obs_from_json(data) -> Obs:
             isinstance(e, list) and len(e) == 2 and isinstance(e[0], int) and not isinstance(e[0], bool)
             for e in data
         ):
+            if len({e[0] for e in data}) != len(data):
+                raise ValueError(f"view names an agent twice: {data!r}")
             return frozenset((e[0], obs_from_json(e[1])) for e in data)
         if len(data) == 2:
             return (obs_from_json(data[0]), obs_from_json(data[1]))
@@ -89,24 +90,6 @@ class Vertex(NamedTuple):
         return f"{self.color}:{obs_text(self.obs)}"
 
 
-def vertex_table() -> Callable[[int, Obs], Vertex]:
-    """A vertex constructor that hands back one object per (color, obs).
-
-    Builders make one table per call, so every vertex they put in a complex
-    is a single shared object and lookups hit on identity.
-    """
-    table: dict[tuple[int, Obs], Vertex] = {}
-
-    def vertex(color: int, obs: Obs) -> Vertex:
-        key = (color, obs)
-        v = table.get(key)
-        if v is None:
-            v = table[key] = Vertex(color, obs)
-        return v
-
-    return vertex
-
-
 class Facet(tuple):
     """A maximal simplex: the tuple of its vertices, one per color, sorted by color."""
 
@@ -116,11 +99,10 @@ class Facet(tuple):
         vs = tuple(vertices)
         colors = [v.color for v in vs]
         if colors != sorted(set(colors)):
-            vs = tuple(sorted(set(vs), key=lambda v: v.color))
-            colors = [v.color for v in vs]
-            if len(set(colors)) != len(colors):
-                dup = sorted({c for c in colors if colors.count(c) > 1})
+            dup = sorted({c for c in colors if colors.count(c) > 1})
+            if dup:
                 raise ValueError(f"duplicate colors in facet: {dup}")
+            vs = tuple(sorted(vs, key=lambda v: v.color))
         if not vs:
             raise ValueError("empty facet")
         return tuple.__new__(cls, vs)
@@ -133,15 +115,6 @@ class Facet(tuple):
     @property
     def colors(self) -> tuple[int, ...]:
         return tuple([v.color for v in self])
-
-    def vertex(self, color: int) -> Vertex:
-        for v in self:
-            if v.color == color:
-                return v
-        raise KeyError(f"no vertex of color {color}")
-
-    def obs(self, color: int) -> Obs:
-        return self.vertex(color).obs
 
     def key(self) -> tuple:
         return tuple(v.key() for v in self)
@@ -345,11 +318,11 @@ def complex_from_json(data: dict) -> tuple[ChromaticComplex, list[int]]:
     document position."""
     n = _json_field(data, "n", int, "complex document")
     raw_facets = _json_field(data, "facets", list, "complex document")
-    vertex = vertex_table()
-    # Each distinct raw entry is decoded once. `repr` keeps apart raw values
-    # that compare equal but are different JSON (1, 1.0 and true); the fields
-    # are still checked on every entry.
+    # Each distinct raw entry is decoded once (`repr` keeps apart 1, 1.0 and
+    # true), and equal vertices spelled differently (a view's pairs in another
+    # order) are one object. The fields are still checked on every entry.
     decoded: dict[tuple[int, str], Vertex] = {}
+    shared: dict[Vertex, Vertex] = {}
 
     def entry_vertex(v) -> Vertex:
         color = _json_field(v, "color", int, "vertex entry")
@@ -357,7 +330,8 @@ def complex_from_json(data: dict) -> tuple[ChromaticComplex, list[int]]:
         key = (color, repr(raw))
         found = decoded.get(key)
         if found is None:
-            found = decoded[key] = vertex(color, obs_from_json(raw))
+            made = Vertex(color, obs_from_json(raw))
+            found = decoded[key] = shared.setdefault(made, made)
         return found
 
     facets = [

@@ -66,7 +66,6 @@ class SimplicialModel:
         self._atom_masks: dict[tuple[int, int], int] | None = None
         self._partitions: dict[tuple[str, frozenset[int]], list] = {}
         self._block_masks: dict[tuple[str, frozenset[int]], list[int]] = {}
-        self._classes: dict[int, list[int]] = {}
 
     @property
     def n(self) -> int:
@@ -122,31 +121,25 @@ class SimplicialModel:
         self._masks[phi.uid] = mask
         return mask
 
-    def _class_ids(self, agent: int) -> list[int]:
-        """Per facet id, the complex's `vertex_id` of its `agent` vertex."""
-        classes = self._classes.get(agent)
-        if classes is None:
-            ids = self.complex.vertex_id
-            classes = self._classes[agent] = [ids[f[agent]] for f in self.complex.facets]
-        return classes
-
     def _block_keys(self, kind: str, agents: frozenset[int]) -> Iterable:
         """Per facet id, in order, the id of its block in the partition that
         `D[agents]` ("dist") or `C[agents]` ("common") quantifies over.
 
-        `D` blocks are the facets sharing their vertex of every agent: the
-        agent's class ids, or their zip, or one block for no agents. `C`
-        blocks are the connected components of the agents' partitions: roots
-        of a union-find over vertex ids, or singletons for no agents.
+        `D` blocks are the facets sharing their vertex of every agent: for
+        one agent, the `vertex_id` of its vertex; for more, the zip of those
+        columns; for none, one block. `C` blocks are the connected components
+        of the agents' partitions: roots of a union-find over vertex ids, or
+        singletons for no agents.
         """
-        columns = [self._class_ids(a) for a in sorted(agents)]
-        size = len(self.complex.facets)
+        facets = self.complex.facets
+        if kind == "dist" and len(agents) == 1:
+            (a,) = agents
+            return map(self.complex.vertex_id.__getitem__, map(operator.itemgetter(a), facets))
+        columns = [self._block_ids("dist", frozenset((a,))) for a in sorted(agents)]
         if kind == "dist":
-            if len(columns) > 1:
-                return zip(*columns)
-            return columns[0] if columns else repeat(0, size)
+            return zip(*columns) if columns else repeat(0, len(facets))
         if not columns:
-            return range(size)
+            return range(len(facets))
         parent = list(range(len(self.complex.vertex_id)))
 
         def root(i: int) -> int:
@@ -194,16 +187,6 @@ class SimplicialModel:
     def counterexamples(self, phi: Formula, cap: int = 10) -> list[Facet]:
         """Up to `cap` falsifying facets, in canonical order."""
         return [self.complex.facets[i] for i in self._failing_ids(phi, cap)]
-
-    def common_reach(self, facet: Facet, agents) -> frozenset[Facet]:
-        """Facets reachable by chains of indistinguishability steps in `agents`."""
-        idx = self.complex.index(facet)
-        group = frozenset(agents)
-        for a in group:
-            if not 0 <= a <= self.complex.n:
-                raise KeyError(f"no vertex of color {a}")
-        ids = self._block_ids("common", group)
-        return frozenset(compress(self.complex.facets, map(ids[idx].__eq__, ids)))
 
 
 def _atom_masks(inputs: tuple[tuple[int, ...], ...]) -> dict[tuple[int, int], int]:
@@ -257,7 +240,7 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def induce_model(complex: ChromaticComplex, projection: str = "obs") -> SimplicialModel:
+def induce_model(complex: ChromaticComplex, projection: str) -> SimplicialModel:
     """Build the model whose input vectors are read off each facet.
 
     `projection` selects where the input value lives: `"obs"` for complexes

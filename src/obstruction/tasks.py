@@ -25,7 +25,6 @@ from .complexes import (
     Vertex,
     complex_to_json,
     complex_from_json,
-    vertex_table,
     _facet,
     _key_order,
     _json_field,
@@ -59,22 +58,6 @@ def _nonempty_subsets(items: Sequence[int]) -> list[frozenset[int]]:
         subsets.extend(combinations(ordered, size))
     subsets.sort()
     return [frozenset(s) for s in subsets]
-
-
-def ordered_set_partitions(items: Iterable[int]) -> list[tuple[frozenset[int], ...]]:
-    """All ordered partitions into nonempty blocks, in lexicographic block order."""
-    universe = tuple(sorted(items))
-
-    def rec(remaining: tuple[int, ...]):
-        if not remaining:
-            yield ()
-            return
-        for block in _nonempty_subsets(remaining):
-            rest = tuple(x for x in remaining if x not in block)
-            for tail in rec(rest):
-                yield (block,) + tail
-
-    return list(rec(universe))
 
 
 def pin_formula(facet: Facet) -> Formula:
@@ -179,12 +162,9 @@ def immediate_snapshot_action(n: int, inputs: Iterable[int]) -> ActionModel:
     return _view_action(n, vectors, inputs, "is")
 
 
-def round_operator_action(
-    n: int, adversary: Adversary, inputs: Iterable[int] | None = None
-) -> ActionModel:
+def round_operator_action(n: int, adversary: Adversary, inputs: Iterable[int]) -> ActionModel:
     """One action facet per input facet and admissible view vector."""
-    values = range(n + 1) if inputs is None else inputs
-    return _view_action(n, view_vectors(n, adversary), values, "round")
+    return _view_action(n, view_vectors(n, adversary), inputs, "round")
 
 
 # -- task action models ------------------------------------------------------
@@ -198,19 +178,16 @@ def binary_consensus_action(n: int) -> ActionModel:
     return ActionModel(decisions, pre, "bc")
 
 
-def set_agreement_action(
-    n: int, k: int, values: Iterable[int] | None = None
-) -> ActionModel:
+def set_agreement_action(n: int, k: int, values: Iterable[int]) -> ActionModel:
     """Decision vectors over at most k distinct values, each an input somewhere."""
     if not 1 <= k <= n + 1:
         raise ValueError(f"agreement bound {k} out of range 1..{n + 1}")
     agents = range(n + 1)
-    universe = sorted(range(n + 1) if values is None else set(values))
-    vertex = vertex_table()
+    vertices = [[Vertex(a, d) for d in sorted(set(values))] for a in agents]
     chosen = ChromaticComplex(n, [
-        Facet(vertex(a, decisions[a]) for a in agents)
-        for decisions in iter_product(universe, repeat=n + 1)
-        if len(set(decisions)) <= k
+        Facet(choice)
+        for choice in iter_product(*vertices)
+        if len({v.obs for v in choice}) <= k
     ])
     # Each decision must be some agent's input.
     pre = tuple(
@@ -246,32 +223,6 @@ def apply_action(model: SimplicialModel, action: ActionModel) -> SimplicialModel
     if not kept:
         raise ValueError("empty product update: preconditions exclude every pair")
     return induce_model(ChromaticComplex(model.complex.n, kept, vertices), "left")
-
-
-# -- facet accessors ---------------------------------------------------------
-
-
-def input_of(facet: Facet, agent: int) -> int:
-    """Input value at the agent's vertex of a product facet."""
-    obs = facet.obs(agent)
-    if isinstance(obs, tuple) and len(obs) == 2 and isinstance(obs[0], int):
-        return obs[0]
-    raise ValueError(f"vertex of color {agent} carries no input component")
-
-
-def view_of(facet: Facet, agent: int) -> frozenset:
-    """Snapshot view at the agent's vertex of a protocol (or action) facet."""
-    obs = facet.obs(agent)
-    if isinstance(obs, tuple) and len(obs) == 2:
-        obs = obs[1]
-    if isinstance(obs, frozenset):
-        return obs
-    raise ValueError(f"vertex of color {agent} carries no view")
-
-
-def seen_agents(facet: Facet, agent: int) -> frozenset[int]:
-    """Agents whose writes appear in this agent's view."""
-    return frozenset(b for b, _ in view_of(facet, agent))
 
 
 # -- serialization -----------------------------------------------------------

@@ -1,12 +1,13 @@
 """Shared test utilities: facet locators and point-form facet operations
-(shared colors, per-pair product facets, projections, decision values, least
-views), an independent naive evaluator, the per-pair product update, the
-view-action reference over checked `Facet`s, point-form morphism and
+(shared colors, per-pair product facets, projections, input, view and
+decision values, least views), an independent naive evaluator, common
+knowledge reach by search over vertex stars, the per-pair product update,
+the view-action reference over checked `Facet`s, point-form morphism and
 knowledge checks, the pairwise DOT export, the plain backtracking reference
-for the decision-map search, and direct constructions of what the package
-derives from general code (round view vectors by product-then-filter,
-immediate snapshot vectors from ordered set partitions, the inductive
-wait-free k-agreement obstruction)."""
+for the decision-map search, ordered set partitions, and direct
+constructions of what the package derives from general code (round view
+vectors by product-then-filter, immediate snapshot vectors from ordered set
+partitions, the inductive wait-free k-agreement obstruction)."""
 
 from itertools import combinations, product as iter_product
 
@@ -18,18 +19,10 @@ from obstruction.complexes import (
     _product_facets,
     facet_texts,
     obs_key,
-    vertex_table,
 )
 from obstruction.formulas import Formula, atom, distributed, know, not_, or_
 from obstruction.models import SimplicialModel, induce_model
-from obstruction.tasks import (
-    ActionModel,
-    initial_complex,
-    input_of,
-    ordered_set_partitions,
-    pin_formula,
-    seen_agents,
-)
+from obstruction.tasks import ActionModel, initial_complex, pin_formula
 
 
 def shared_colors(x: Facet, y: Facet) -> frozenset[int]:
@@ -39,7 +32,11 @@ def shared_colors(x: Facet, y: Facet) -> frozenset[int]:
 
 def product_facet(x: Facet, y: Facet) -> Facet:
     """Pair each vertex of x with y's vertex of the same color."""
-    return Facet(Vertex(v.color, (v.obs, y.vertex(v.color).obs)) for v in x)
+    right = {w.color: w.obs for w in y}
+    for v in x:
+        if v.color not in right:
+            raise KeyError(f"no vertex of color {v.color}")
+    return Facet(Vertex(v.color, (v.obs, right[v.color])) for v in x)
 
 
 def project_left(z: Facet) -> Facet:
@@ -58,9 +55,32 @@ def cartesian_product(c: ChromaticComplex, d: ChromaticComplex) -> ChromaticComp
     return ChromaticComplex(c.n, *_product_facets(c, d, ((x, range(len(d))) for x in c.facets)))
 
 
+def input_of(facet: Facet, agent: int) -> int:
+    """Input value at the agent's vertex of a product facet."""
+    obs = facet[agent].obs
+    if isinstance(obs, tuple) and len(obs) == 2 and isinstance(obs[0], int):
+        return obs[0]
+    raise ValueError(f"vertex of color {agent} carries no input component")
+
+
 def output_of(facet: Facet, agent: int) -> int:
     """Decision value at the agent's vertex of a decision-task product facet."""
-    return facet.obs(agent)[1]
+    return facet[agent].obs[1]
+
+
+def view_of(facet: Facet, agent: int) -> frozenset:
+    """Snapshot view at the agent's vertex of a protocol (or action) facet."""
+    obs = facet[agent].obs
+    if isinstance(obs, tuple) and len(obs) == 2:
+        obs = obs[1]
+    if isinstance(obs, frozenset):
+        return obs
+    raise ValueError(f"vertex of color {agent} carries no view")
+
+
+def seen_agents(facet: Facet, agent: int) -> frozenset[int]:
+    """Agents whose writes appear in this agent's view."""
+    return frozenset(b for b, _ in view_of(facet, agent))
 
 
 def min_view(facet: Facet) -> frozenset[int]:
@@ -142,6 +162,25 @@ def naive_satisfies(model: SimplicialModel, facet: Facet, phi) -> bool:
     return ev(facet, phi)
 
 
+def common_reach(model: SimplicialModel, facet: Facet, agents) -> frozenset[Facet]:
+    """Reference for the classes of `C[agents]`: the facets reachable from
+    `facet` by steps between facets that share a vertex of an agent in
+    `agents`, found by search over vertex stars."""
+    stars: dict[Vertex, list[Facet]] = {}
+    for f in model.complex.facets:
+        for v in f:
+            stars.setdefault(v, []).append(f)
+    seen, todo = {facet}, [facet]
+    while todo:
+        f = todo.pop()
+        for a in agents:
+            for g in stars[f[a]]:
+                if g not in seen:
+                    seen.add(g)
+                    todo.append(g)
+    return frozenset(seen)
+
+
 def map_facet(delta: dict[Vertex, Vertex], facet: Facet) -> Facet:
     """The image of a facet under a vertex map, as a new facet."""
     return Facet(delta[v] for v in facet.vertices)
@@ -181,14 +220,14 @@ def reference_view_action(n: int, vectors, inputs, name: str) -> ActionModel:
     checking `Facet` constructor from a table of (agent, view) vertices."""
     cells = [tuple(enumerate(vector)) for vector in vectors]
     distinct = {cell for vector in cells for cell in vector}
-    vertex = vertex_table()
+    shared: dict[Vertex, Vertex] = {}
     facets, pre = [], {}
     for x in initial_complex(n, inputs).facets:
         guard = pin_formula(x)
-        at = {
-            (a, seen): vertex(a, frozenset((b, x.vertices[b].obs) for b in seen))
-            for a, seen in distinct
-        }
+        at = {}
+        for a, seen in distinct:
+            v = Vertex(a, frozenset((b, x.vertices[b].obs) for b in seen))
+            at[(a, seen)] = shared.setdefault(v, v)
         for vector in cells:
             facet = Facet(map(at.__getitem__, vector))
             facets.append(facet)
@@ -314,6 +353,24 @@ def product_view_vectors(n: int, adversary: Adversary) -> list[tuple[frozenset[i
             for j in range(i + 1, n + 1)
         )
     ]
+
+
+def ordered_set_partitions(items) -> list[tuple[frozenset[int], ...]]:
+    """All ordered partitions into nonempty blocks, in lexicographic block order."""
+
+    def rec(remaining: tuple[int, ...]):
+        if not remaining:
+            yield ()
+            return
+        blocks = sorted(
+            c for size in range(1, len(remaining) + 1) for c in combinations(remaining, size)
+        )
+        for block in blocks:
+            rest = tuple(x for x in remaining if x not in block)
+            for tail in rec(rest):
+                yield (frozenset(block),) + tail
+
+    return list(rec(tuple(sorted(items))))
 
 
 def partition_view_vectors(n: int) -> list[tuple[frozenset[int], ...]]:

@@ -28,16 +28,23 @@ from obstruction.tasks import (
     decide_own_input_action,
     immediate_snapshot_action,
     initial_model,
-    input_of,
-    ordered_set_partitions,
     round_operator_action,
-    seen_agents,
     set_agreement_action,
     view_vectors,
 )
 
 from conftest import build_demo_model
-from helpers import facet_with_values, map_facet, project_left, protocol_facet, shared_colors
+from helpers import (
+    common_reach,
+    facet_with_values,
+    input_of,
+    map_facet,
+    ordered_set_partitions,
+    project_left,
+    protocol_facet,
+    seen_agents,
+    shared_colors,
+)
 
 
 class timer:
@@ -105,7 +112,7 @@ def test_criterion_2_consensus_impossibility_reproduction():
             assert n in shared_colors(x2, x3)
             assert 0 in shared_colors(x3, x4)
             assert n in shared_colors(x4, x5)
-            assert x5 in snapshot.common_reach(x1, everyone)
+            assert x5 in common_reach(snapshot, x1, everyone)
     _passed(2, "consensus obstruction for n=1,2,3 with the relation chain", clock)
 
 
@@ -115,13 +122,13 @@ def test_criterion_3a_waitfree_agreement_obstruction():
         adversary = waitfree(n)
         assert adversary.csize() == 3
         initial = initial_model(n, [0, 1, 2])
-        rounds = apply_action(initial, round_operator_action(n, adversary))
+        rounds = apply_action(initial, round_operator_action(n, adversary, range(n + 1)))
         phi = adversary_obstruction(n, adversary)
         lazy_facet = protocol_facet(
             rounds, (0, 1, 2), [set(range(n + 1))] * (n + 1)
         )
         for k in (1, 2):
-            agreement = apply_action(initial, set_agreement_action(n, k))
+            agreement = apply_action(initial, set_agreement_action(n, k, range(n + 1)))
             report = verify_obstruction(agreement, rounds, phi, cap=10_000)
             assert report.formula.positive
             assert report.is_obstruction
@@ -135,8 +142,8 @@ def test_criterion_3b_two_of_three_adversary_obstruction():
         adversary = from_survivor_sets(n, [{0, 1}, {1, 2}, {0, 2}])
         assert adversary.csize() == 2
         initial = initial_model(n, [0, 1, 2])
-        rounds = apply_action(initial, round_operator_action(n, adversary))
-        agreement = apply_action(initial, set_agreement_action(n, 1))
+        rounds = apply_action(initial, round_operator_action(n, adversary, range(n + 1)))
+        agreement = apply_action(initial, set_agreement_action(n, 1, range(n + 1)))
         report = verify_obstruction(
             agreement, rounds, adversary_obstruction(n, adversary), cap=10_000
         )
@@ -183,7 +190,7 @@ def test_criterion_5_combinatorial_counts():
         bc2 = apply_action(initial_model(2, [0, 1]), binary_consensus_action(2))
         assert len(bc2.complex.facets) == 14
 
-        sa1 = apply_action(initial_model(2, [0, 1, 2]), set_agreement_action(2, 1))
+        sa1 = apply_action(initial_model(2, [0, 1, 2]), set_agreement_action(2, 1, range(3)))
         assert len(sa1.complex.facets) == 57
 
         assert len(view_vectors(1, waitfree(1))) == 3
@@ -192,7 +199,7 @@ def test_criterion_5_combinatorial_counts():
             initial_model(2, [0, 1, 2]), immediate_snapshot_action(2, [0, 1, 2])
         )
         rounds = apply_action(
-            initial_model(2, [0, 1, 2]), round_operator_action(2, waitfree(2))
+            initial_model(2, [0, 1, 2]), round_operator_action(2, waitfree(2), range(3))
         )
         assert set(snapshot.complex.facets) < set(rounds.complex.facets)
     _passed(5, "partition, consensus, agreement, and round-operator counts", clock)
@@ -261,10 +268,10 @@ def test_criterion_8_relation_criteria_coincide():
 
         def structural_keys(model):
             return [
-                tuple(f.vertex(a) for a in agents) for f in model.complex.facets
+                tuple(f[a] for a in agents) for f in model.complex.facets
             ]
 
-        rounds = apply_action(initial, round_operator_action(n, waitfree(n)))
+        rounds = apply_action(initial, round_operator_action(n, waitfree(n), range(n + 1)))
         view_keys = [
             tuple(
                 (
@@ -285,9 +292,9 @@ def test_criterion_8_relation_criteria_coincide():
                     )
 
         for k in (1, 2):
-            agreement = apply_action(initial, set_agreement_action(n, k))
+            agreement = apply_action(initial, set_agreement_action(n, k, range(n + 1)))
             io_keys = [
-                tuple((input_of(f, a), f.obs(a)[1]) for a in agents)
+                tuple((input_of(f, a), f[a].obs[1]) for a in agents)
                 for f in agreement.complex.facets
             ]
             struct = structural_keys(agreement)

@@ -360,6 +360,24 @@ def test_negative_inputs_round_trip(tmp_path, capsys):
     assert again.read_bytes() == action.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "sa:1", "--n", "1"],
+        ["build", "I[bc]", "--n", "1", "--format", "text"],
+        ["obstruct", "I[bc]", "I[is]", "--gen", "bc", "--n", "1"],
+        ["solve", "I[is]", "I[sa-trivial]", "--n", "1"],
+    ],
+    ids=["build-action", "build-product", "obstruct", "solve"],
+)
+def test_negative_inputs_read_in_both_spellings(capsys, argv):
+    # argparse alone takes a separate `-1,0` for an option.
+    separate = run(capsys, *argv, "--inputs", "-1,0")
+    assert run(capsys, *argv, "--inputs=-1,0") == separate
+    assert run(capsys, *argv, "--inp", "-1,0") == separate
+    assert separate[0] in (0, 1) and separate[1]
+
+
 def test_check_names_a_negative_input(tmp_path, capsys):
     model = tmp_path / "bc.json"
     code, _, _ = run(capsys, "build", "I[bc]", "--n", "1", "--inputs=-1,0", "--out", str(model))
@@ -418,6 +436,15 @@ def test_malformed_model_file_is_usage_error(tmp_path, capsys, doc, message):
     assert err.startswith(f"error: {message}")
 
 
+def test_export_refuses_a_facet_listing_a_vertex_twice(tmp_path, capsys):
+    path = tmp_path / "repeat.json"
+    entry = {"color": 0, "obs": 0}
+    facet = {"vertices": [entry, entry, {"color": 1, "obs": 1}]}
+    path.write_text(json.dumps({"n": 1, "facets": [facet]}))
+    code, out, err = run(capsys, "export", str(path), "--format", "text")
+    assert (code, out, err) == (2, "", "error: duplicate colors in facet: [0]\n")
+
+
 @pytest.mark.parametrize(
     "doc,message",
     [
@@ -443,7 +470,13 @@ def test_malformed_adversary_file_is_usage_error(tmp_path, capsys, doc, message)
 
 
 def _action_doc(**fields):
-    return {**action_to_json(set_agreement_action(1, 1)), **fields}
+    return {**action_to_json(set_agreement_action(1, 1, range(2))), **fields}
+
+
+def _action_doc_with_a_view_naming_an_agent_twice():
+    doc = json.loads(json.dumps(_action_doc()))  # entries are shared objects
+    doc["facets"][0]["vertices"][0]["obs"] = [[0, 1], [0, 2]]
+    return doc
 
 
 def _action_doc_listing_a_facet_twice():
@@ -465,8 +498,12 @@ def _action_doc_listing_a_facet_twice():
             _action_doc_listing_a_facet_twice(),
             "facet 2 is listed twice with different preconditions",
         ),
+        (
+            _action_doc_with_a_view_naming_an_agent_twice(),
+            "view names an agent twice: [[0, 1], [0, 2]]",
+        ),
     ],
-    ids=["name-not-str", "pre-missing-facet", "facet-listed-twice"],
+    ids=["name-not-str", "pre-missing-facet", "facet-listed-twice", "view-agent-twice"],
 )
 def test_malformed_action_file_is_usage_error(tmp_path, capsys, doc, message):
     path = tmp_path / "action.json"

@@ -9,6 +9,7 @@ from obstruction.complexes import (
     complex_to_json,
     obs_from_json,
     obs_key,
+    obs_text,
     obs_to_json,
 )
 from obstruction.cli import main
@@ -40,7 +41,7 @@ def test_demo_complex_shape(demo_model):
 def test_zero_dimensional_complex():
     c = ChromaticComplex(0, [Facet([Vertex(0, 7)])])
     assert len(c.facets) == 1
-    assert c.facets[0].obs(0) == 7
+    assert c.facets[0][0].obs == 7
 
 
 def test_duplicate_color_rejected():
@@ -95,8 +96,8 @@ def test_product_single_facets_pairs_observations():
     d = _complex_of_values(1, [(8, 9)])
     p = cartesian_product(c, d)
     assert len(p.facets) == 1
-    assert p.facets[0].obs(0) == (0, 8)
-    assert p.facets[0].obs(1) == (1, 9)
+    assert p.facets[0][0].obs == (0, 8)
+    assert p.facets[0][1].obs == (1, 9)
 
 
 def test_product_with_consensus_actions_before_filtering():
@@ -110,7 +111,7 @@ def test_product_with_consensus_actions_before_filtering():
 def test_product_matches_per_pair_product_facet():
     inputs = initial_complex(2, [0, 1, 2])
     views = immediate_snapshot_action(2, [0, 1]).complex
-    decisions = set_agreement_action(2, 2).complex
+    decisions = set_agreement_action(2, 2, range(3)).complex
     paired = apply_action(initial_model(2, [0, 1]), immediate_snapshot_action(2, [0, 1])).complex
     for c, d in [(inputs, views), (views, decisions), (paired, inputs), (decisions, paired)]:
         p = cartesian_product(c, d)
@@ -217,6 +218,25 @@ def test_view_and_pair_observations_round_trip():
         assert obs_from_json(obs_to_json(obs)) == obs
 
 
+@pytest.mark.parametrize(
+    "obs", [[[0, 1], [0, 2]], [[0, 1], [0, 1]], [[1, 0], [0, 3], [1, [[0, 0]]]]]
+)
+def test_a_view_names_each_agent_once(obs):
+    with pytest.raises(ValueError, match="view names an agent twice"):
+        obs_from_json(obs)
+    doc = {"n": 0, "facets": [{"vertices": [{"color": 0, "obs": obs}]}]}
+    with pytest.raises(ValueError, match="view names an agent twice"):
+        complex_from_json(doc)
+
+
+def test_view_entries_are_written_in_agent_order():
+    # One observation per agent: entries order by agent alone, whatever the
+    # kinds of the observations.
+    view = frozenset({(2, (0, 1)), (0, frozenset({(1, 4), (0, 3)})), (1, 5)})
+    assert obs_text(view) == "{0:{0:3,1:4},1:5,2:(0,1)}"
+    assert obs_to_json(view) == [[0, [[0, 3], [1, 4]]], [1, 5], [2, [0, 1]]]
+
+
 def test_obs_key_orders_mixed_kinds():
     items = [frozenset({(0, 1)}), 3, (1, 2), 0]
     ordered = sorted(items, key=obs_key)
@@ -299,11 +319,16 @@ def test_first_wrongly_colored_facet_in_key_order_is_reported(case):
     )
 
 
-def test_facet_sorts_and_dedupes_unordered_vertices():
-    f = Facet([Vertex(2, 5), Vertex(0, 3), Vertex(1, 4), Vertex(0, 3)])
+def test_facet_sorts_unordered_vertices_and_refuses_repeats():
+    f = Facet([Vertex(2, 5), Vertex(0, 3), Vertex(1, 4)])
     assert f.colors == (0, 1, 2)
     assert f == Facet([Vertex(0, 3), Vertex(1, 4), Vertex(2, 5)])
     assert hash(f) == hash(Facet([Vertex(0, 3), Vertex(1, 4), Vertex(2, 5)]))
+    # A vertex listed twice is a repeated color, not one vertex.
+    with pytest.raises(ValueError, match=r"duplicate colors in facet: \[0\]"):
+        Facet([Vertex(2, 5), Vertex(0, 3), Vertex(1, 4), Vertex(0, 3)])
+    with pytest.raises(ValueError, match=r"duplicate colors in facet: \[0\]"):
+        Facet([Vertex(0, 0), Vertex(0, 0), Vertex(1, 1)])
     with pytest.raises(ValueError, match="empty facet"):
         Facet([])
 

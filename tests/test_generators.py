@@ -20,13 +20,18 @@ from obstruction.tasks import (
     binary_consensus_action,
     immediate_snapshot_action,
     initial_model,
-    input_of,
     round_operator_action,
-    seen_agents,
     set_agreement_action,
 )
 
-from helpers import inductive_waitfree_obstruction, min_view, output_of, protocol_facet
+from helpers import (
+    inductive_waitfree_obstruction,
+    input_of,
+    min_view,
+    output_of,
+    protocol_facet,
+    seen_agents,
+)
 
 
 TWO_OF_THREE = [{0, 1}, {1, 2}, {0, 2}]
@@ -136,7 +141,7 @@ def test_waitfree_obstruction_positive_and_bounds():
 
 def test_waitfree_obstruction_valid_in_agreement_model():
     initial = initial_model(2, [0, 1, 2])
-    task = apply_action(initial, set_agreement_action(2, 2))
+    task = apply_action(initial, set_agreement_action(2, 2, range(3)))
     assert task.validity(waitfree_kset_obstruction(2, 2)).is_valid
 
 
@@ -219,9 +224,9 @@ def test_generalized_waitfree_matches_inductive_formula_semantically():
     generalized = adversary_obstruction(2, waitfree(2))
     inductive = inductive_waitfree_obstruction(2, 2)
     models = [
-        apply_action(initial, set_agreement_action(2, 1)),
-        apply_action(initial, set_agreement_action(2, 2)),
-        apply_action(initial, round_operator_action(2, waitfree(2))),
+        apply_action(initial, set_agreement_action(2, 1, range(3))),
+        apply_action(initial, set_agreement_action(2, 2, range(3))),
+        apply_action(initial, round_operator_action(2, waitfree(2), range(3))),
     ]
     for model in models:
         for facet in model.complex.facets:
@@ -232,7 +237,7 @@ def test_generalized_waitfree_matches_inductive_formula_semantically():
 
 def test_agreement_outputs_admit_small_fixed_subset():
     for k in (1, 2):
-        model = apply_action(initial_model(2, [0, 1, 2]), set_agreement_action(2, k))
+        model = apply_action(initial_model(2, [0, 1, 2]), set_agreement_action(2, k, range(3)))
         for f in model.complex.facets:
             outputs = {a: output_of(f, a) for a in range(3)}
             fixed = greatest_fixed_subset(outputs.__getitem__, range(3))
@@ -243,7 +248,7 @@ def test_agreement_outputs_admit_small_fixed_subset():
 def test_flat_minimum_view_facets_falsify_their_case():
     for adv in (waitfree(2), from_survivor_sets(2, TWO_OF_THREE)):
         family = adversary_obstruction_family(2, adv)
-        model = apply_action(initial_model(2, [0, 1, 2]), round_operator_action(2, adv))
+        model = apply_action(initial_model(2, [0, 1, 2]), round_operator_action(2, adv, range(3)))
         checked = 0
         for f in model.complex.facets:
             if any(input_of(f, a) != a for a in range(3)):
@@ -260,7 +265,7 @@ def test_flat_minimum_view_facets_falsify_their_case():
 def test_known_value_follows_agreed_output():
     agents = range(3)
     for k in (1, 2):
-        model = apply_action(initial_model(2, [0, 1, 2]), set_agreement_action(2, k))
+        model = apply_action(initial_model(2, [0, 1, 2]), set_agreement_action(2, k, range(3)))
         groups = [
             frozenset(g) for size in (1, 2, 3) for g in combinations(agents, size)
         ]
@@ -299,13 +304,13 @@ def test_split_pair_adversary_with_four_agents():
     adv = from_survivor_sets(n, [{0, 1}, {2, 3}])
     assert adv.csize() == 2
     initial = initial_model(n, range(n + 1))
-    rounds = apply_action(initial, round_operator_action(n, adv))
+    rounds = apply_action(initial, round_operator_action(n, adv, range(n + 1)))
     phi = adversary_obstruction(n, adv)
     assert phi.positive
-    agree_one = apply_action(initial, set_agreement_action(n, 1))
+    agree_one = apply_action(initial, set_agreement_action(n, 1, range(n + 1)))
     report = verify_obstruction(agree_one, rounds, phi)
     assert report.is_obstruction
-    agree_two = apply_action(initial, set_agreement_action(n, 2))
+    agree_two = apply_action(initial, set_agreement_action(n, 2, range(n + 1)))
     loose = verify_obstruction(agree_two, rounds, phi)
     assert not loose.task_verdict.is_valid
     assert not loose.is_obstruction
@@ -313,8 +318,8 @@ def test_split_pair_adversary_with_four_agents():
 
 def test_agreement_obstruction_counterexample_is_lazy_diagonal():
     initial = initial_model(2, [0, 1, 2])
-    task = apply_action(initial, set_agreement_action(2, 1))
-    protocol = apply_action(initial, round_operator_action(2, waitfree(2)))
+    task = apply_action(initial, set_agreement_action(2, 1, range(3)))
+    protocol = apply_action(initial, round_operator_action(2, waitfree(2), range(3)))
     phi = adversary_obstruction(2, waitfree(2))
     report = verify_obstruction(task, protocol, phi, cap=2000)
     assert report.is_obstruction
@@ -341,8 +346,8 @@ def test_counterexample_cap_respected():
 
 def test_verify_obstruction_reads_counterexample_ids_off_the_mask():
     initial = initial_model(2, [0, 1, 2])
-    task = apply_action(initial, set_agreement_action(2, 1))
-    protocol = apply_action(initial, round_operator_action(2, waitfree(2)))
+    task = apply_action(initial, set_agreement_action(2, 1, range(3)))
+    protocol = apply_action(initial, round_operator_action(2, waitfree(2), range(3)))
     facets = protocol.complex.facets
     for phi, count in [(adversary_obstruction(2, waitfree(2)), 1), (know(0, atom(1, 1)), 10)]:
         report = verify_obstruction(task, protocol, phi)

@@ -40,6 +40,7 @@ from obstruction.tasks import (
 
 from conftest import build_demo_model
 from helpers import (
+    common_reach,
     facet_with_values,
     map_facet,
     naive_satisfies,
@@ -59,7 +60,7 @@ def test_labels_read_off_vertices(demo_model):
 
 
 def test_single_facet_label():
-    model = induce_model(ChromaticComplex(0, [Facet([Vertex(0, 7)])]))
+    model = induce_model(ChromaticComplex(0, [Facet([Vertex(0, 7)])]), "obs")
     assert model.inputs == ((7,),)
 
 
@@ -106,16 +107,24 @@ def test_true_is_valid_everywhere(demo_model):
     assert demo_model.validity(TRUE).is_valid
 
 
+def common_class(model, facet, agents) -> frozenset:
+    """The facets `C[agents]` quantifies over at `facet`, read off the
+    model's block ids of that partition."""
+    ids = model._block_ids("common", frozenset(agents))
+    mine = ids[model.complex.index(facet)]
+    return frozenset(f for f, i in zip(model.complex.facets, ids) if i == mine)
+
+
 def test_common_reach_spans_component(demo_model):
     x5 = facet_with_values(demo_model, (1, 2, 2))
-    assert demo_model.common_reach(x5, {0, 1, 2}) == frozenset(
-        demo_model.complex.facets
-    )
+    everything = frozenset(demo_model.complex.facets)
+    assert common_class(demo_model, x5, {0, 1, 2}) == everything
+    assert common_reach(demo_model, x5, {0, 1, 2}) == everything
 
 
 def test_common_reach_without_agents_is_reflexive(demo_model):
     for f in demo_model.complex.facets:
-        assert demo_model.common_reach(f, set()) == frozenset({f})
+        assert common_class(demo_model, f, set()) == frozenset({f})
 
 
 def distributed_block(model, facet, agents):
@@ -161,9 +170,9 @@ def test_agent_check_survives_cached_subformula_masks(demo_model):
 
 @pytest.mark.parametrize("agent", [-1, 3])
 def test_relation_queries_reject_agents_outside_the_model(demo_model, agent):
-    f = demo_model.complex.facets[0]
-    with pytest.raises(KeyError, match="no vertex of color"):
-        demo_model.common_reach(f, {0, agent})
+    # A negative agent id is refused by the formula, one past n by the model.
+    with pytest.raises(ValueError, match="nonnegative|outside"):
+        demo_model.validity(common({0, agent}, FALSE))
 
 
 @pytest.mark.parametrize("cap", [0, -3])
@@ -193,8 +202,8 @@ def test_common_reach_monotone_in_agents(demo_model):
         for small in groups:
             for big in groups:
                 if small <= big:
-                    assert demo_model.common_reach(f, small) <= demo_model.common_reach(
-                        f, big
+                    assert common_class(demo_model, f, small) <= common_class(
+                        demo_model, f, big
                     )
 
 
@@ -252,7 +261,9 @@ def _modal_cases(n: int) -> list:
 BLOCK_MODELS = {
     "demo": build_demo_model,
     "is-n2": lambda: apply_action(initial_model(2, (0, 1)), immediate_snapshot_action(2, (0, 1))),
-    "waitfree-n2": lambda: apply_action(initial_model(2, (0, 1)), round_operator_action(2, waitfree(2))),
+    "waitfree-n2": lambda: apply_action(
+        initial_model(2, (0, 1)), round_operator_action(2, waitfree(2), range(3))
+    ),
 }
 
 
@@ -280,7 +291,8 @@ def test_block_ids_on_the_split_pair_protocol(monkeypatch):
     phi = adversary_obstruction(3, adversary)
 
     def build():
-        return apply_action(initial_model(3, range(4)), round_operator_action(3, adversary))
+        protocol = round_operator_action(3, adversary, range(4))
+        return apply_action(initial_model(3, range(4)), protocol)
 
     model = build()
     assert len(model.complex) == 16128 > BLOCK_ID_CUTOVER
@@ -291,13 +303,9 @@ def test_block_ids_on_the_split_pair_protocol(monkeypatch):
     assert [by_masks.complex.index(f) for f in by_masks.counterexamples(phi, 10)] == found
     # Each C class, read off the block ids, is a connected component of the
     # facets sharing a vertex of the group, found by search over vertex stars.
-    stars: dict = {}
-    for f in model.complex.facets:
-        for v in f:
-            stars.setdefault(v, []).append(f)
     start = model.complex.facets[found[0]]
     for group in [(), (0,), (0, 1), (1, 2), (0, 1, 2, 3)]:
-        assert model.common_reach(start, group) == _component(stars, start, group)
+        assert common_class(model, start, group) == common_reach(model, start, group)
 
 
 def _bitwise_atom_masks(inputs) -> dict:
@@ -312,7 +320,7 @@ def _bitwise_atom_masks(inputs) -> dict:
 
 def test_atom_masks_on_the_split_pair_protocol():
     adversary = from_survivor_sets(3, [{0, 1}, {2, 3}])
-    model = apply_action(initial_model(3, range(4)), round_operator_action(3, adversary))
+    model = apply_action(initial_model(3, range(4)), round_operator_action(3, adversary, range(4)))
     inputs = model.inputs
     assert len(set(inputs)) == 256  # the most that a byte per facet numbers
     # Equal vectors are one object.
@@ -329,18 +337,6 @@ def test_atom_masks_beyond_a_byte_of_atom_sets():
     inputs = initial_model(4, range(6)).inputs
     assert len(set(inputs)) == 7776
     assert _atom_masks(inputs) == _bitwise_atom_masks(inputs)
-
-
-def _component(stars, start, group) -> frozenset:
-    seen, todo = {start}, [start]
-    while todo:
-        f = todo.pop()
-        for a in group:
-            for g in stars[f[a]]:
-                if g not in seen:
-                    seen.add(g)
-                    todo.append(g)
-    return frozenset(seen)
 
 
 def test_empty_common_group_is_the_formula_itself(demo_model):
@@ -433,7 +429,7 @@ def test_collapsing_distinct_labels_is_not_a_morphism(demo_model):
     x3 = facet_with_values(demo_model, (0, 3, 2))
     x4 = facet_with_values(demo_model, (0, 1, 2))
     delta = {v: v for v in demo_model.complex.vertices()}
-    delta[x3.vertex(1)] = x4.vertex(1)  # send b3 to b1, collapsing X3 onto X4
+    delta[x3[1]] = x4[1]  # send b3 to b1, collapsing X3 onto X4
     assert morphism_violation(delta, demo_model, demo_model) is not None
     assert "labeling" in morphism_violation(delta, demo_model, demo_model)
 
@@ -453,7 +449,7 @@ def test_color_change_is_not_a_morphism():
 def test_facet_image_outside_the_target_is_not_a_morphism():
     model = initial_model(1, [0, 1])
     diagonal = induce_model(
-        ChromaticComplex(1, [f for f in model.complex.facets if f.obs(0) == f.obs(1)])
+        ChromaticComplex(1, [f for f in model.complex.facets if f[0].obs == f[1].obs]), "obs"
     )
     identity = {v: v for v in model.complex.vertices()}
     # Every vertex has an image in the target; the facet 0:0 1:1 does not.
@@ -523,7 +519,9 @@ def test_model_json_atoms_compare_as_sets(demo_model):
 
 
 def test_dot_export_lists_facets_and_edges(demo_model):
-    waitfree2 = apply_action(initial_model(2, [0, 1, 2]), round_operator_action(2, waitfree(2)))
+    waitfree2 = apply_action(
+        initial_model(2, [0, 1, 2]), round_operator_action(2, waitfree(2), range(3))
+    )
     for model in (demo_model, waitfree2):
         dot = complex_to_dot(model.complex)
         assert "f0 --" in dot

@@ -134,9 +134,9 @@ def test_round_protocol_cannot_reach_agreement_quickly():
     # Larger instance: accept either an exhaustive refutation or an honest
     # budget stop, and in the first case agree with the obstruction verdict.
     protocol = apply_action(
-        initial_model(2, [0, 1, 2]), round_operator_action(2, waitfree(2))
+        initial_model(2, [0, 1, 2]), round_operator_action(2, waitfree(2), range(3))
     )
-    task = apply_action(initial_model(2, [0, 1, 2]), set_agreement_action(2, 1))
+    task = apply_action(initial_model(2, [0, 1, 2]), set_agreement_action(2, 1, range(3)))
     result = find_morphism(protocol, task, budget=200_000)
     assert result.status in (Solvability.UNSOLVABLE, Solvability.RESOURCE_LIMIT)
     assert result.witness is None
@@ -280,8 +280,10 @@ def reference_instances():
         "is-vs-trivial": (snapshot_protocol(), trivial_task()),
         "is-vs-itself": (snapshot_protocol(), snapshot_protocol()),
         "round-n2-vs-sa1": (
-            apply_action(initial_model(2, [0, 1, 2]), round_operator_action(2, waitfree(2))),
-            apply_action(initial_model(2, [0, 1, 2]), set_agreement_action(2, 1)),
+            apply_action(
+                initial_model(2, [0, 1, 2]), round_operator_action(2, waitfree(2), range(3))
+            ),
+            apply_action(initial_model(2, [0, 1, 2]), set_agreement_action(2, 1, range(3))),
         ),
         "round-n1-vs-sa1": (
             apply_action(initial, round_operator_action(1, waitfree(1), [0, 1])),

@@ -19,28 +19,28 @@ from obstruction.tasks import (
     decide_own_input_action,
     immediate_snapshot_action,
     initial_model,
-    input_of,
     is_immediate,
-    ordered_set_partitions,
     round_operator_action,
-    seen_agents,
     set_agreement_action,
-    view_of,
     view_vectors,
 )
 
 from helpers import (
     assert_checked_facets,
     facet_with_values,
+    input_of,
     min_view,
     naive_product_update,
+    ordered_set_partitions,
     output_of,
     partition_view_vectors,
     product_view_vectors,
     project_right,
     protocol_facet,
     reference_view_action,
+    seen_agents,
     shared_colors,
+    view_of,
 )
 
 
@@ -142,22 +142,22 @@ def test_all_zero_inputs_pair_only_with_zero_decision():
 
 
 def test_set_agreement_action_counts():
-    assert len(set_agreement_action(2, 1).complex.facets) == 3
-    assert len(set_agreement_action(2, 2).complex.facets) == 27 - 6
+    assert len(set_agreement_action(2, 1, range(3)).complex.facets) == 3
+    assert len(set_agreement_action(2, 2, range(3)).complex.facets) == 27 - 6
     with pytest.raises(ValueError, match="out of range"):
-        set_agreement_action(2, 0)
+        set_agreement_action(2, 0, range(3))
     with pytest.raises(ValueError, match="out of range"):
-        set_agreement_action(2, 4)
+        set_agreement_action(2, 4, range(3))
 
 
 def test_set_agreement_product_count():
-    model = apply_action(initial_model(2, [0, 1, 2]), set_agreement_action(2, 1))
+    model = apply_action(initial_model(2, [0, 1, 2]), set_agreement_action(2, 1, range(3)))
     assert len(model.complex.facets) == 57
 
 
 def test_outputs_bounded_and_drawn_from_inputs():
     for k in (1, 2):
-        model = apply_action(initial_model(2, [0, 1, 2]), set_agreement_action(2, k))
+        model = apply_action(initial_model(2, [0, 1, 2]), set_agreement_action(2, k, range(3)))
         for f in model.complex.facets:
             outputs = {output_of(f, a) for a in range(3)}
             inputs = {input_of(f, a) for a in range(3)}
@@ -166,7 +166,7 @@ def test_outputs_bounded_and_drawn_from_inputs():
 
 
 def test_output_constant_on_agreement_facets():
-    model = apply_action(initial_model(2, [0, 1, 2]), set_agreement_action(2, 1))
+    model = apply_action(initial_model(2, [0, 1, 2]), set_agreement_action(2, 1, range(3)))
     for f in model.complex.facets:
         d = output_of(f, 0)
         assert all(output_of(f, a) == d for a in range(3))
@@ -214,7 +214,7 @@ def test_round_operator_strictly_extends_snapshot_for_three_agents():
         initial_model(2, [0, 1, 2]), immediate_snapshot_action(2, [0, 1, 2])
     )
     rounds = apply_action(
-        initial_model(2, [0, 1, 2]), round_operator_action(2, waitfree(2))
+        initial_model(2, [0, 1, 2]), round_operator_action(2, waitfree(2), range(3))
     )
     snapshot_facets = set(snapshot.complex.facets)
     round_facets = set(rounds.complex.facets)
@@ -268,7 +268,7 @@ def test_min_view_cases():
 
 def test_min_view_subsumes_a_survivor_set():
     for adv in (waitfree(2), from_survivor_sets(2, [{0, 1}, {1, 2}, {0, 2}])):
-        model = apply_action(initial_model(2, [0, 1, 2]), round_operator_action(2, adv))
+        model = apply_action(initial_model(2, [0, 1, 2]), round_operator_action(2, adv, range(3)))
         for f in model.complex.facets:
             assert adv.contains(min_view(f))
 
@@ -284,16 +284,16 @@ PRODUCT_CASES = {
     "is-n1": (1, [0, 1], lambda: immediate_snapshot_action(1, [0, 1])),
     "is-n2": (2, [0, 1], lambda: immediate_snapshot_action(2, [0, 1])),
     "round-n1": (1, [0, 1], lambda: round_operator_action(1, waitfree(1), [0, 1])),
-    "round-n2": (2, [0, 1, 2], lambda: round_operator_action(2, waitfree(2))),
+    "round-n2": (2, [0, 1, 2], lambda: round_operator_action(2, waitfree(2), range(3))),
     "two-of-three-n2": (
         2,
         [0, 1, 2],
-        lambda: round_operator_action(2, from_survivor_sets(2, [{0, 1}, {1, 2}, {0, 2}])),
+        lambda: round_operator_action(2, from_survivor_sets(2, [{0, 1}, {1, 2}, {0, 2}]), range(3)),
     ),
     "bc-n1": (1, [0, 1], lambda: binary_consensus_action(1)),
     "bc-n2": (2, [0, 1], lambda: binary_consensus_action(2)),
-    "sa1-n2": (2, [0, 1, 2], lambda: set_agreement_action(2, 1)),
-    "sa2-n2": (2, [0, 1, 2], lambda: set_agreement_action(2, 2)),
+    "sa1-n2": (2, [0, 1, 2], lambda: set_agreement_action(2, 1, range(3))),
+    "sa2-n2": (2, [0, 1, 2], lambda: set_agreement_action(2, 2, range(3))),
     "sa-trivial-n1": (1, [0, 1], lambda: decide_own_input_action(1, [0, 1])),
     "imported-is-n1": (1, [0, 1], _imported_is_action),
 }
@@ -375,7 +375,7 @@ def test_trivial_task_pairs_each_input_with_itself():
             assert input_of(f, a) == output_of(f, a)
 
 
-# -- accessors -----------------------------------------------------------------
+# -- facet accessors (test helpers) ----------------------------------------------
 
 
 def test_view_accessor_rejects_decision_models():
@@ -454,7 +454,7 @@ def test_action_json_preconditions_follow_the_listed_facets():
 
 
 def test_action_json_facet_listed_twice_needs_one_precondition():
-    action = set_agreement_action(2, 2)
+    action = set_agreement_action(2, 2, range(3))
     doc = _reversed_document(action_to_json(action))
     doc["facets"].append(doc["facets"][0])
     doc["pre"][str(len(action.complex))] = doc["pre"]["0"]
@@ -477,9 +477,9 @@ SPLIT_PAIR = from_survivor_sets(3, [{0, 1}, {2, 3}])
 
 FACTOR_ORDER_CASES = {
     "is-n3-binary": (3, (0, 1), lambda: immediate_snapshot_action(3, (0, 1))),
-    "waitfree-n2": (2, range(3), lambda: round_operator_action(2, waitfree(2))),
-    "sa2-n3": (3, range(4), lambda: set_agreement_action(3, 2)),
-    "split-pair-n3": (3, range(4), lambda: round_operator_action(3, SPLIT_PAIR)),
+    "waitfree-n2": (2, range(3), lambda: round_operator_action(2, waitfree(2), range(3))),
+    "sa2-n3": (3, range(4), lambda: set_agreement_action(3, 2, range(4))),
+    "split-pair-n3": (3, range(4), lambda: round_operator_action(3, SPLIT_PAIR, range(4))),
     "bc-n2": (2, (0, 1), lambda: binary_consensus_action(2)),
 }
 
@@ -506,12 +506,14 @@ def _is_product():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: apply_action(initial_model(2, range(3)), round_operator_action(2, waitfree(2))),
+        lambda: apply_action(
+            initial_model(2, range(3)), round_operator_action(2, waitfree(2), range(3))
+        ),
         _is_product,
-        lambda: apply_action(initial_model(2, range(3)), set_agreement_action(2, 2)),
-        lambda: round_operator_action(2, waitfree(2)),
+        lambda: apply_action(initial_model(2, range(3)), set_agreement_action(2, 2, range(3))),
+        lambda: round_operator_action(2, waitfree(2), range(3)),
         lambda: immediate_snapshot_action(2, (0, 1)),
-        lambda: set_agreement_action(2, 2),
+        lambda: set_agreement_action(2, 2, range(3)),
         lambda: decide_own_input_action(2, (0, 1)),
     ],
     ids=["round-product", "is-product", "sa2-product", "round", "is", "sa2", "trivial"],
