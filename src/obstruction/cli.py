@@ -95,6 +95,21 @@ def _round_adversary(spec: str, n: int) -> adversaries.Adversary:
     return _load_adversary(token.split(":", 1)[1], n)
 
 
+def _bound(token: str, name: str, missing: str) -> int | None:
+    """K of `token` = `name:K`, or None if `token` names something other than `name`.
+
+    A bare `name` raises `missing`."""
+    head, colon, bound = token.partition(":")
+    if head != name:
+        return None
+    if not colon:
+        raise UsageError(missing)
+    try:
+        return int(bound)
+    except ValueError:
+        raise UsageError(f"bad agreement bound in {token!r}")
+
+
 def _build_action(token: str, n: int, inputs) -> tasks.ActionModel:
     if token == "is":
         return tasks.immediate_snapshot_action(n, inputs)
@@ -102,13 +117,8 @@ def _build_action(token: str, n: int, inputs) -> tasks.ActionModel:
         return tasks.binary_consensus_action(n)
     if token == "sa-trivial":
         return tasks.decide_own_input_action(n, inputs)
-    if token.startswith("sa"):
-        if not token.startswith("sa:"):
-            raise UsageError(f"spec {token!r} needs an agreement bound: sa:K")
-        try:
-            k = int(token.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"bad agreement bound in {token!r}")
+    k = _bound(token, "sa", f"spec {token!r} needs an agreement bound: sa:K")
+    if k is not None:
         return tasks.set_agreement_action(n, k, inputs)
     if token.startswith("round"):
         return tasks.round_operator_action(n, _round_adversary(token, n), inputs)
@@ -257,15 +267,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_obstruct(args) -> int:
+    k = _bound(args.gen, "waitfree", "generator waitfree needs a bound: waitfree:K")
     if args.gen == "bc":
         phi = generators.binary_consensus_obstruction(args.n)
-    elif args.gen.startswith("waitfree"):
-        if ":" not in args.gen:
-            raise UsageError("generator waitfree needs a bound: waitfree:K")
-        try:
-            k = int(args.gen.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"bad agreement bound in {args.gen!r}")
+    elif k is not None:
         phi = generators.waitfree_kset_obstruction(args.n, k)
     elif args.gen == "adversary":
         phi = generators.adversary_obstruction(args.n, _round_adversary(args.protocol, args.n))

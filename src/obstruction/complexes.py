@@ -236,9 +236,6 @@ class ChromaticComplex:
             and self.facets == other.facets
         )
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.facets))
-
     def __repr__(self) -> str:
         return f"ChromaticComplex(n={self.n}, facets={len(self.facets)})"
 

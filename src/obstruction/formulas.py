@@ -18,6 +18,7 @@ binary operators associate to the left and are kept flattened, so rendering
 and parsing are mutually inverse.
 """
 
+import re
 from itertools import count
 from typing import Iterable
 
@@ -196,141 +197,112 @@ class ParseError(ValueError):
         self.position = position
 
 
-_SYMBOLS = set("!&|(){}[],")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, size = 0, len(text)
-    while i < size:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(("sym", ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == "-" and text[i + 1:i + 2].isdigit():
-            j = i + 1
-            while j < size and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < size and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("word", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", size))
-    return tokens
+# One token: an integer of decimal digits (`\d`, so '²' is no digit), a word,
+# or a symbol. The text is tokens and whitespace up to its first other character.
+_TOKEN = re.compile(r"-?\d+|\w+|[!&|(){}\[\],]")
+_TEXT = re.compile(rf"(?:\s|{_TOKEN.pattern})*")
 
 
 class _Parser:
+    """Recursive descent over the token strings; "" stands for the end of input."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        end = _TEXT.match(text).end()
+        if end < len(text):
+            raise ParseError(f"unexpected character {text[end]!r}", end)
+        self.text = text
+        self.tokens = _TOKEN.findall(text) + [""]
+        self.i = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+    def fail(self, message: str):
+        """Raise `message` at the current token, whose position is found again."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        raise ParseError(message, starts[self.i])
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != "end":
-            self.pos += 1
-        return tok
+    def found(self) -> str:
+        return repr(self.tokens[self.i] or "end of input")
 
-    def expect(self, symbol: str) -> None:
-        kind, value, at = self.peek()
-        if kind != "sym" or value != symbol:
-            raise ParseError(f"expected {symbol!r}, found {value or 'end of input'!r}", at)
-        self.advance()
+    def symbol(self, symbol: str) -> None:
+        if self.tokens[self.i] != symbol:
+            self.fail(f"expected {symbol!r}, found {self.found()}")
+        self.i += 1
 
-    def expect_int(self) -> int:
-        kind, value, at = self.peek()
-        if kind != "int":
-            raise ParseError(f"expected a number, found {value or 'end of input'!r}", at)
-        self.advance()
-        return int(value)
-
-    def expect_agent(self) -> int:
-        at = self.peek()[2]
-        agent = self.expect_int()
-        if agent < 0:
-            raise ParseError(f"agent ids are nonnegative, found {agent}", at)
-        return agent
+    def number(self, agent: bool = True) -> int:
+        token = self.tokens[self.i]
+        if not token.lstrip("-").isdecimal():
+            self.fail(f"expected a number, found {self.found()}")
+        value = int(token)
+        if agent and value < 0:
+            self.fail(f"agent ids are nonnegative, found {value}")
+        self.i += 1
+        return value
 
     def agent_set(self) -> frozenset[int]:
-        self.expect("{")
-        agents = [self.expect_agent()]
-        while self.peek()[:2] == ("sym", ","):
-            self.advance()
-            agents.append(self.expect_agent())
-        self.expect("}")
+        self.symbol("{")
+        agents = [self.number()]
+        while self.tokens[self.i] == ",":
+            self.i += 1
+            agents.append(self.number())
+        self.symbol("}")
         return frozenset(agents)
 
     def disjunction(self) -> Formula:
         parts = [self.conjunction()]
-        while self.peek()[:2] == ("sym", "|"):
-            self.advance()
+        while self.tokens[self.i] == "|":
+            self.i += 1
             parts.append(self.conjunction())
         return or_(*parts)
 
     def conjunction(self) -> Formula:
         parts = [self.unary()]
-        while self.peek()[:2] == ("sym", "&"):
-            self.advance()
+        while self.tokens[self.i] == "&":
+            self.i += 1
             parts.append(self.unary())
         return and_(*parts)
 
     def unary(self) -> Formula:
-        kind, value, at = self.peek()
-        if (kind, value) == ("sym", "!"):
-            self.advance()
+        token = self.tokens[self.i]
+        if token == "!":
+            self.i += 1
             return not_(self.unary())
-        if kind == "word" and value in ("K", "C", "D"):
-            self.advance()
-            self.expect("[")
-            if value == "K":
-                agent = self.expect_agent()
-                self.expect("]")
+        if token in ("K", "C", "D"):
+            self.i += 1
+            self.symbol("[")
+            if token == "K":
+                agent = self.number()
+                self.symbol("]")
                 return know(agent, self.unary())
             agents = self.agent_set()
-            self.expect("]")
-            ctor = common if value == "C" else distributed
+            self.symbol("]")
+            ctor = common if token == "C" else distributed
             return ctor(agents, self.unary())
         return self.primary()
 
     def primary(self) -> Formula:
-        kind, value, at = self.peek()
-        if (kind, value) == ("word", "false"):
-            self.advance()
+        token = self.tokens[self.i]
+        if token == "false":
+            self.i += 1
             return FALSE
-        if (kind, value) == ("word", "input"):
-            self.advance()
-            self.expect("(")
-            agent = self.expect_agent()
-            self.expect(",")
-            val = self.expect_int()
-            self.expect(")")
-            return atom(agent, val)
-        if (kind, value) == ("sym", "("):
-            self.advance()
-            phi = self.disjunction()
-            self.expect(")")
-            return phi
-        raise ParseError(f"expected a formula, found {value or 'end of input'!r}", at)
+        if token == "input":
+            self.i += 1
+            self.symbol("(")
+            agent = self.number()
+            self.symbol(",")
+            value = self.number(agent=False)
+            self.symbol(")")
+            return atom(agent, value)
+        if token != "(":
+            self.fail(f"expected a formula, found {self.found()}")
+        self.i += 1
+        phi = self.disjunction()
+        self.symbol(")")
+        return phi
 
 
 def parse(text: str) -> Formula:
     """Parse formula text into the interned DAG."""
     parser = _Parser(text)
     phi = parser.disjunction()
-    kind, value, at = parser.peek()
-    if kind != "end":
-        raise ParseError(f"trailing input {value!r}", at)
+    if parser.tokens[parser.i]:
+        parser.fail(f"trailing input {parser.found()}")
     return phi

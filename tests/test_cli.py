@@ -153,6 +153,14 @@ def test_check_reports_formula_errors(tmp_path, capsys):
     assert "formula error" in err
 
 
+def test_check_reports_a_non_decimal_digit_as_a_formula_error(tmp_path, capsys):
+    model = write_demo_model(tmp_path / "demo.json")
+    code, out, err = run(capsys, "check", model, "--formula", "input(0,²)")
+    assert code == 2
+    assert out == ""
+    assert err == "formula error: expected a number, found '²' (at position 8)\n"
+
+
 def test_check_agent_out_of_range(tmp_path, capsys):
     model = write_demo_model(tmp_path / "demo.json")
     code, _, err = run(capsys, "check", model, "--formula", "K[9] false")
@@ -228,6 +236,14 @@ def test_obstruct_unknown_generator(capsys):
     code, _, err = run(capsys, "obstruct", "I[bc]", "I[is]", "--gen", "what", "--n", "1")
     assert code == 2
     assert "unknown generator" in err
+
+
+@pytest.mark.parametrize("gen", ["waitfreeXYZ:1", "waitfree_typo:2"])
+def test_obstruct_generator_name_must_be_exact(capsys, gen):
+    code, out, err = run(capsys, "obstruct", "I[sa:1]", "round:waitfree", "--gen", gen, "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unknown generator {gen!r}\n"
 
 
 def test_obstruct_bad_generator_bound_builds_no_model(capsys, monkeypatch):

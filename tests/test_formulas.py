@@ -1,7 +1,8 @@
 import random
+import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from obstruction.formulas import (
     FALSE,
@@ -124,6 +125,22 @@ def test_values_may_be_negative():
 
 
 @pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("input(0,²)", "expected a number, found '²'", 8),
+        ("K[²] false", "expected a number, found '²'", 2),
+        ("input(0,1²)", "expected ')', found '²'", 9),
+    ],
+)
+def test_integers_are_decimal_digits(text, message, position):
+    # '²' passes `str.isdigit` but is no decimal digit, and `int` rejects it.
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert parse("input(0,٣)") is atom(0, 3)
+
+
+@pytest.mark.parametrize(
     "text, position",
     [("input(-1,0)", 6), ("K[-1] false", 2), ("C[{0,-1}] false", 5), ("D[{-2}] false", 3)],
 )
@@ -182,6 +199,32 @@ def formulas(draw, max_depth=4):
 @given(formulas())
 def test_render_round_trips(phi):
     assert parse(render(phi)) is phi
+
+
+# Every class of character the lexer tells apart: the grammar's symbols, ASCII
+# digits, '-', a digit `int` rejects ('²') and one it reads ('٣'), letters and
+# whitespace.
+EDIT_CHARS = "!&|(){}[],0123456789-²٣" + string.ascii_letters + "_ \t\n"
+
+
+@given(
+    formulas(),
+    st.sampled_from(["insert", "delete", "replace"]),
+    st.integers(0),
+    st.sampled_from(EDIT_CHARS),
+)
+@example(atom(0, 1), "replace", 8, "²")
+def test_one_character_edits_parse_or_raise_parse_errors(phi, edit, where, char):
+    text = render(phi)
+    i = where % (len(text) + (edit == "insert"))
+    rest = text[i:] if edit == "insert" else text[i + 1:]
+    text = text[:i] + ("" if edit == "delete" else char) + rest
+    try:
+        parsed = parse(text)
+    except ParseError as err:
+        assert 0 <= err.position <= len(text)
+    else:
+        assert parse(render(parsed)) is parsed
 
 
 def _plain_mentions(phi):
