@@ -332,7 +332,7 @@ def cmd_solve(args) -> int:
 def cmd_export(args) -> int:
     with open(args.model) as handle:
         data = json.load(handle)
-    if isinstance(data, dict) and "pre" in data:
+    if models.is_action_document(data):
         built = tasks.action_from_json(data)
     else:
         built = models.model_from_json(data)

@@ -17,6 +17,7 @@ its own numbered vertices); a product complex takes both orders from its
 factors' vertex ids instead (see `_product_facets`).
 """
 
+from marshal import dumps
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
@@ -293,6 +294,13 @@ def complex_to_json(c: ChromaticComplex) -> dict:
     }
 
 
+# Decoders find a document's distinct JSON values by their `marshal` bytes at
+# this version: equal bytes mean an equal value of equal types (1, 1.0 and
+# true differ), and version 2 writes no back-references, so equal values
+# give equal bytes.
+JSON_KEY_VERSION = 2
+
+
 def _json_field(doc, key: str, kind: type | None, what: str):
     """`doc[key]` of a JSON object, of type `kind` when given; a malformed
     document raises ValueError naming `what` it is."""
@@ -310,24 +318,25 @@ def _json_field(doc, key: str, kind: type | None, what: str):
 
 
 def complex_from_json(data: dict) -> tuple[ChromaticComplex, list[int]]:
-    """The complex of a document, and the id of each facet the document
-    lists, in document order and once per listing, for side tables keyed by
-    document position."""
+    """The complex of a document, as `json.load` returns it, and the id of
+    each facet the document lists, in document order and once per listing,
+    for side tables keyed by document position."""
     n = _json_field(data, "n", int, "complex document")
     raw_facets = _json_field(data, "facets", list, "complex document")
-    # Each distinct raw entry is decoded once (`repr` keeps apart 1, 1.0 and
-    # true), and equal vertices spelled differently (a view's pairs in another
-    # order) are one object. The fields are still checked on every entry.
-    decoded: dict[tuple[int, str], Vertex] = {}
+    # Each distinct vertex entry is checked and decoded once, at its first
+    # listing. Equal vertices spelled differently (a view's pairs in another
+    # order) are one object.
+    decoded: dict[bytes, Vertex] = {}
     shared: dict[Vertex, Vertex] = {}
 
     def entry_vertex(v) -> Vertex:
-        color = _json_field(v, "color", int, "vertex entry")
-        raw = _json_field(v, "obs", None, "vertex entry")
-        key = (color, repr(raw))
+        key = dumps(v, JSON_KEY_VERSION)
         found = decoded.get(key)
         if found is None:
-            made = Vertex(color, obs_from_json(raw))
+            made = Vertex(
+                _json_field(v, "color", int, "vertex entry"),
+                obs_from_json(_json_field(v, "obs", None, "vertex entry")),
+            )
             found = decoded[key] = shared.setdefault(made, made)
         return found
 

@@ -12,9 +12,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress, islice, repeat
+from marshal import dumps
 from typing import Iterable, Iterator
 
 from .complexes import (
+    JSON_KEY_VERSION,
     ChromaticComplex,
     Facet,
     Vertex,
@@ -326,9 +328,16 @@ def model_to_json(model: SimplicialModel) -> dict:
     return doc
 
 
+def is_action_document(data) -> bool:
+    """Whether a loaded document is an action's: it carries preconditions."""
+    return isinstance(data, dict) and "pre" in data
+
+
 def model_from_json(data: dict) -> SimplicialModel:
     """The model of a document whose `atoms` entry i, when given, records the
-    atoms of its i-th listed facet."""
+    atoms of its i-th listed facet. An action document is refused."""
+    if is_action_document(data):
+        raise ValueError("expected a model document, got an action document (it has 'pre')")
     complex, ids = complex_from_json(data)
     kinds = {"pair" if isinstance(v.obs, tuple) else "plain" for v in complex.vertices()}
     if kinds == {"pair"}:
@@ -339,8 +348,13 @@ def model_from_json(data: dict) -> SimplicialModel:
         raise ValueError("mixed observation kinds; cannot infer input projection")
     model = induce_model(complex, projection)
     if "atoms" in data:
+        atoms = data["atoms"]
         try:
-            recorded = [frozenset(map(tuple, entry)) for entry in data["atoms"]]
+            # Each distinct entry's set is built once.
+            keys = list(map(dumps, atoms, repeat(JSON_KEY_VERSION)))
+            distinct = dict(zip(keys, atoms))
+            sets = {key: frozenset(map(tuple, entry)) for key, entry in distinct.items()}
+            recorded = list(map(sets.__getitem__, keys))
         except TypeError:
             raise ValueError(
                 "malformed model document: 'atoms' must hold one list of "

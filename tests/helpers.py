@@ -1,13 +1,14 @@
 """Shared test utilities: facet locators and point-form facet operations
 (shared colors, per-pair product facets, projections, input, view and
-decision values, least views), an independent naive evaluator, common
-knowledge reach by search over vertex stars, the per-pair product update,
-the view-action reference over checked `Facet`s, point-form morphism and
-knowledge checks, the pairwise DOT export, the plain backtracking reference
-for the decision-map search, ordered set partitions, and direct
-constructions of what the package derives from general code (round view
-vectors by product-then-filter, immediate snapshot vectors from ordered set
-partitions, the inductive wait-free k-agreement obstruction)."""
+decision values, least views), the memo-free complex decoder, an
+independent naive evaluator, common knowledge reach by search over vertex
+stars, the per-pair product update, the view-action reference over checked
+`Facet`s, point-form morphism and knowledge checks, the pairwise DOT
+export, the plain backtracking reference for the decision-map search,
+ordered set partitions, and direct constructions of what the package
+derives from general code (round view vectors by product-then-filter,
+immediate snapshot vectors from ordered set partitions, the inductive
+wait-free k-agreement obstruction)."""
 
 from itertools import combinations, product as iter_product
 
@@ -16,8 +17,10 @@ from obstruction.complexes import (
     ChromaticComplex,
     Facet,
     Vertex,
+    _json_field,
     _product_facets,
     facet_texts,
+    obs_from_json,
     obs_key,
 )
 from obstruction.formulas import Formula, atom, distributed, know, not_, or_
@@ -107,6 +110,24 @@ def protocol_facet(model: SimplicialModel, inputs, seen_sets) -> Facet:
         ):
             return f
     raise AssertionError(f"no facet with inputs {inputs} and views {seen_sets}")
+
+
+def naive_complex_from_json(data) -> tuple[ChromaticComplex, list[int]]:
+    """`complex_from_json` without its memo: every vertex entry's fields are
+    checked and its observation decoded at each listing."""
+    n = _json_field(data, "n", int, "complex document")
+    facets = [
+        Facet(
+            Vertex(
+                _json_field(v, "color", int, "vertex entry"),
+                obs_from_json(_json_field(v, "obs", None, "vertex entry")),
+            )
+            for v in _json_field(entry, "vertices", list, "facet entry")
+        )
+        for entry in _json_field(data, "facets", list, "complex document")
+    ]
+    c = ChromaticComplex(n, facets)
+    return c, [c.index(f) for f in facets]
 
 
 def naive_satisfies(model: SimplicialModel, facet: Facet, phi) -> bool:

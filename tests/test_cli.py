@@ -530,6 +530,16 @@ def test_malformed_action_file_is_usage_error(tmp_path, capsys, doc, message):
     assert err == f"error: {message}\n"
 
 
+def test_check_refuses_an_action_document(tmp_path, capsys):
+    # Read as a model, the action's decisions would pass for inputs.
+    path = tmp_path / "sa1.json"
+    assert run(capsys, "build", "sa:1", "--n", "1", "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "check", str(path), "--formula", "input(0,0) | input(0,1)")
+    assert code == 2
+    assert out == ""
+    assert err == "error: expected a model document, got an action document (it has 'pre')\n"
+
+
 @pytest.mark.parametrize(
     "formula,obs",
     [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obstruction.adversaries import from_survivor_sets, waitfree
-from obstruction.complexes import ChromaticComplex, Facet, Vertex
+from obstruction.complexes import ChromaticComplex, Facet, Vertex, complex_from_json
 from obstruction.formulas import (
     FALSE,
     TRUE,
@@ -43,6 +43,7 @@ from helpers import (
     common_reach,
     facet_with_values,
     map_facet,
+    naive_complex_from_json,
     naive_satisfies,
     pairwise_dot,
     project_left,
@@ -507,6 +508,13 @@ def test_model_json_atoms_follow_the_listed_facets():
         model_from_json(doc)
 
 
+def test_model_json_refuses_an_action_document_before_its_facets():
+    # The facets are not read: their malformed entry raises nothing.
+    doc = {"n": 0, "facets": [{"vertices": [{"color": True}]}], "pre": {"0": "false"}}
+    with pytest.raises(ValueError, match="got an action document"):
+        model_from_json(doc)
+
+
 def test_model_json_atoms_compare_as_sets(demo_model):
     doc = json.loads(json.dumps(model_to_json(demo_model)))
     # Each facet's atom pairs reversed, and its first pair repeated.
@@ -516,6 +524,107 @@ def test_model_json_atoms_compare_as_sets(demo_model):
     doc["atoms"][0][0] = [agent, value + 1]
     with pytest.raises(ValueError, match="recorded atoms disagree"):
         model_from_json(doc)
+
+
+# Round-tripped model documents, as JSON text, that the decoder is compared on.
+_DECODER_MODELS = {
+    "demo": build_demo_model(),
+    "is2": apply_action(initial_model(2, [0, 1]), immediate_snapshot_action(2, [0, 1])),
+    "waitfree2": apply_action(
+        initial_model(2, [0, 1]), round_operator_action(2, waitfree(2), [0, 1])
+    ),
+}
+_DECODER_DOCS = {name: json.dumps(model_to_json(m)) for name, m in _DECODER_MODELS.items()}
+
+
+def _respelled_obs(obs, rng):
+    """The JSON observation with each view's [agent, obs] entries shuffled."""
+    if not isinstance(obs, list):
+        return obs
+    parts = [_respelled_obs(o, rng) for o in obs]
+    if all(isinstance(e, list) and len(e) == 2 and type(e[0]) is int for e in obs):
+        rng.shuffle(parts)
+    return parts
+
+
+def _respelled_entry(entry, rng):
+    """The vertex entry with its observation respelled, maybe an extra key,
+    and its keys in a random order."""
+    items = [("color", entry["color"]), ("obs", _respelled_obs(entry["obs"], rng))]
+    if rng.random() < 0.25:
+        items.append(("note", rng.choice([0, 1.0, "x", None, [1]])))
+    rng.shuffle(items)
+    return dict(items)
+
+
+def _int_leaves(obs, path=()):
+    """Paths to the integer leaves of a JSON observation."""
+    if isinstance(obs, list):
+        return [p for i, o in enumerate(obs) for p in _int_leaves(o, path + (i,))]
+    return [path]
+
+
+def _changed_leaf(obs, path, change):
+    """The observation with `change` applied to its leaf at `path`."""
+    if not path:
+        return change(obs)
+    obs[path[0]] = _changed_leaf(obs[path[0]], path[1:], change)
+    return obs
+
+
+def _decoded(decode, doc):
+    try:
+        return decode(doc)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_DECODER_DOCS)),
+    seed=st.integers(0, 2**32 - 1),
+    fault=st.sampled_from([None, "true", "1.0", "bool-color", "missing-obs"]),
+)
+def test_decoder_agrees_with_the_naive_decoder(name, seed, fault):
+    # The document is respelled entry by entry, its facets listed in another
+    # order, and one vertex entry whose vertex was listed before is spoilt.
+    rng = random.Random(seed)
+    doc = json.loads(_DECODER_DOCS[name])
+    order = list(range(len(doc["facets"])))
+    rng.shuffle(order)
+    doc["facets"] = [doc["facets"][i] for i in order]
+    doc["atoms"] = [doc["atoms"][i] for i in order]
+    rows = [f["vertices"] for f in doc["facets"]]
+    seen, later = set(), []
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            spelling = json.dumps(entry)
+            if spelling in seen:
+                later.append((i, j))
+            seen.add(spelling)
+            row[j] = _respelled_entry(entry, rng)
+    i, j = rng.choice(later)
+    entry = rows[i][j]
+    if fault == "bool-color":
+        entry["color"] = bool(entry["color"])
+    elif fault == "missing-obs":
+        del entry["obs"]
+    elif fault is not None:
+        change = (lambda leaf: True) if fault == "true" else float
+        path = rng.choice(_int_leaves(entry["obs"]))
+        entry["obs"] = _changed_leaf(entry["obs"], path, change)
+
+    expected = _decoded(naive_complex_from_json, doc)
+    got = _decoded(complex_from_json, doc)
+    if isinstance(expected, str):
+        assert fault is not None
+        assert got == expected == _decoded(model_from_json, doc)
+        return
+    assert fault is None
+    (c, ids), (naive, naive_ids) = got, expected
+    assert c == naive and c.vertices() == naive.vertices() and ids == naive_ids
+    model, original = model_from_json(doc), _DECODER_MODELS[name]
+    assert model.complex == original.complex and model.inputs == original.inputs
 
 
 def test_dot_export_lists_facets_and_edges(demo_model):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from obstruction.adversaries import from_survivor_sets, waitfree
@@ -8,7 +10,7 @@ from obstruction.complexes import (
     complex_from_json,
     complex_to_json,
 )
-from obstruction.formulas import FALSE, render
+from obstruction.formulas import FALSE, ParseError, render
 from obstruction.tasks import (
     ActionModel,
     _view_action,
@@ -462,6 +464,49 @@ def test_action_json_facet_listed_twice_needs_one_precondition():
     doc["pre"][str(len(action.complex))] = doc["pre"]["1"]
     with pytest.raises(ValueError, match=f"facet {len(action.complex)} is listed twice"):
         action_from_json(doc)
+
+
+def _waitfree_round_document() -> tuple:
+    """The wait-free n=1 round action and its round-tripped document, whose
+    twelve facets share four preconditions."""
+    action = round_operator_action(1, waitfree(1), [0, 1])
+    return action, json.loads(json.dumps(action_to_json(action)))
+
+
+def test_action_json_repeated_text_is_one_formula():
+    action, doc = _waitfree_round_document()
+    again = action_from_json(doc)
+    assert again == action
+    listings: dict[str, list[int]] = {}
+    for i, text in doc["pre"].items():
+        listings.setdefault(text, []).append(int(i))
+    assert len(listings) == 4
+    for ids in listings.values():
+        assert len(ids) == 3
+        assert all(again.pre[i] is again.pre[ids[0]] for i in ids)
+
+
+def test_action_json_facet_listed_twice_may_respell_its_precondition():
+    action, doc = _waitfree_round_document()
+    last = str(len(doc["facets"]))
+    doc["facets"].append(doc["facets"][0])
+    doc["pre"][last] = " " + doc["pre"]["0"].replace(" ", "\n\t ") + " "
+    assert action_from_json(doc) == action
+    other = next(text for text in doc["pre"].values() if text != doc["pre"]["0"])
+    doc["pre"][last] = other.replace(" ", "  ")
+    with pytest.raises(ValueError, match=f"facet {last} is listed twice"):
+        action_from_json(doc)
+
+
+def test_action_json_malformed_text_at_the_last_listing():
+    # The text before the spoilt tail was parsed at earlier listings.
+    _, doc = _waitfree_round_document()
+    last = str(len(doc["facets"]) - 1)
+    text = doc["pre"][last]
+    doc["pre"][last] = text + " )"
+    with pytest.raises(ParseError, match="trailing input") as err:
+        action_from_json(doc)
+    assert err.value.position == len(text) + 1
 
 
 def test_action_json_requires_preconditions():
