@@ -12,9 +12,10 @@ object per distinct vertex across the facets of a complex (products key
 theirs by the factors' vertex ids). A complex
 keeps its facets in `Facet.key` order, computed by ranking its distinct
 vertices once by `Vertex.key` and comparing facets by their tuples of
-integer ranks (`_key_order`, which the view-action builder also calls on
-its own numbered vertices); a product complex takes both orders from its
-factors' vertex ids instead (see `_product_facets`).
+integer ranks (`_key_order`, which the view-action builder and the JSON
+decoder also call on their own numbered vertices, so neither builds a `Facet`
+through its checks); a product complex takes both orders from its factors'
+vertex ids instead (see `_product_facets`).
 """
 
 from marshal import dumps
@@ -324,25 +325,57 @@ def complex_from_json(data: dict) -> tuple[ChromaticComplex, list[int]]:
     n = _json_field(data, "n", int, "complex document")
     raw_facets = _json_field(data, "facets", list, "complex document")
     # Each distinct vertex entry is checked and decoded once, at its first
-    # listing. Equal vertices spelled differently (a view's pairs in another
-    # order) are one object.
-    decoded: dict[bytes, Vertex] = {}
-    shared: dict[Vertex, Vertex] = {}
+    # listing, and numbered by its vertex: equal vertices spelled differently
+    # (a view's pairs in another order) share one number and one object.
+    decoded: dict[bytes, int] = {}
+    number: dict[Vertex, int] = {}
+    made: list[Vertex] = []
+    colors: list[int] = []
 
-    def entry_vertex(v) -> Vertex:
+    def entry_number(v) -> int:
         key = dumps(v, JSON_KEY_VERSION)
         found = decoded.get(key)
         if found is None:
-            made = Vertex(
+            vertex = Vertex(
                 _json_field(v, "color", int, "vertex entry"),
                 obs_from_json(_json_field(v, "obs", None, "vertex entry")),
             )
-            found = decoded[key] = shared.setdefault(made, made)
+            found = decoded[key] = number.setdefault(vertex, len(made))
+            if found == len(made):
+                made.append(vertex)
+                colors.append(vertex.color)
         return found
 
-    facets = [
-        Facet(map(entry_vertex, _json_field(entry, "vertices", list, "facet entry")))
-        for entry in raw_facets
-    ]
+    def row(entry) -> tuple[int, ...]:
+        return tuple(map(entry_number, _json_field(entry, "vertices", list, "facet entry")))
+
+    # A facet listed with the colors 0..n in order is the tuple of its vertex
+    # numbers; `index` numbers the distinct facets, `listed` each listing.
+    index: dict[tuple[int, ...], int] = {}
+    listed = []
+    if n >= 0:
+        expected = None
+        for entry in raw_facets:
+            numbers = row(entry)
+            if len(numbers) != n + 1:
+                break
+            # Made once a facet lists n + 1 vertices: `n` is the document's.
+            expected = expected or tuple(range(n + 1))
+            if tuple(map(colors.__getitem__, numbers)) != expected:
+                break
+            listed.append(index.setdefault(numbers, len(index)))
+        else:
+            rows = list(index)
+            vertices, order = _key_order(made, rows)
+            ids = [0] * len(order)
+            for i, j in enumerate(order):
+                ids[j] = i
+            vertex = made.__getitem__
+            facets = [_facet(tuple(map(vertex, rows[j]))) for j in order]
+            return ChromaticComplex(n, facets, vertices), list(map(ids.__getitem__, listed))
+    # Any other document (n < 0, or a facet whose colors are not 0..n in
+    # order) is read through `Facet` and `_canonical`, which sort its facets'
+    # vertices by color or report what is wrong, in document order.
+    facets = [Facet(map(made.__getitem__, row(entry))) for entry in raw_facets]
     c = ChromaticComplex(n, facets)
     return c, list(map(c.index, facets))

@@ -237,7 +237,8 @@ def action_to_json(action: ActionModel) -> dict:
 
 def action_from_json(data: dict) -> ActionModel:
     """The action of a document whose `pre` entry `str(i)` guards its i-th
-    listed facet; a facet listed twice must carry one precondition."""
+    listed facet, naming only agents 0..n; a facet listed twice must carry
+    one precondition, and `pre` has no other entries."""
     complex, ids = complex_from_json(data)
     raw = data.get("pre")
     if not isinstance(raw, dict):
@@ -249,8 +250,17 @@ def action_from_json(data: dict) -> ActionModel:
             raise ValueError(f"facet {i} lacks a precondition")
         phi = parse(text)  # interned: one object per formula
         if pre[j] is None:
+            bad = sorted(a for a in phi.mentions if a > complex.n)
+            if bad:
+                raise ValueError(
+                    f"facet {i}'s precondition names agents {bad} outside 0..{complex.n}"
+                )
             pre[j] = phi
         elif pre[j] is not phi:
             raise ValueError(f"facet {i} is listed twice with different preconditions")
+    if len(raw) > len(ids):
+        listings = set(map(str, range(len(ids))))
+        extra = next(key for key in raw if key not in listings)
+        raise ValueError(f"precondition key {extra!r} names no listed facet")
     name = _json_field(data, "name", str, "action document") if "name" in data else "imported"
     return ActionModel(complex, tuple(pre), name)

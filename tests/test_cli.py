@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -518,8 +519,23 @@ def _action_doc_listing_a_facet_twice():
             _action_doc_with_a_view_naming_an_agent_twice(),
             "view names an agent twice: [[0, 1], [0, 2]]",
         ),
+        (
+            _action_doc(pre={**_action_doc()["pre"], "1": "K[5] input(0,0)"}),
+            "facet 1's precondition names agents [5] outside 0..1",
+        ),
+        (
+            _action_doc(pre={**_action_doc()["pre"], "7": "false"}),
+            "precondition key '7' names no listed facet",
+        ),
+        (
+            _action_doc(pre={**_action_doc()["pre"], "x": 3}),
+            "precondition key 'x' names no listed facet",
+        ),
     ],
-    ids=["name-not-str", "pre-missing-facet", "facet-listed-twice", "view-agent-twice"],
+    ids=[
+        "name-not-str", "pre-missing-facet", "facet-listed-twice", "view-agent-twice",
+        "pre-agent-out-of-range", "pre-key-past-the-facets", "pre-key-not-a-number",
+    ],
 )
 def test_malformed_action_file_is_usage_error(tmp_path, capsys, doc, message):
     path = tmp_path / "action.json"
@@ -528,6 +544,25 @@ def test_malformed_action_file_is_usage_error(tmp_path, capsys, doc, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("command,code", [
+    (["build", "bc", "--n", "1"], 0),
+    (["solve", "I[is]", "I[bc]", "--n", "1"], 1),
+    (["check", "MALFORMED", "--formula", "false"], 2),
+])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, enabled, command, code):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("[1, 2]")
+    argv = [str(malformed) if arg == "MALFORMED" else arg for arg in command]
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run(capsys, *argv)[0] == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_check_refuses_an_action_document(tmp_path, capsys):

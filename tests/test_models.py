@@ -584,16 +584,26 @@ def _decoded(decode, doc):
     name=st.sampled_from(sorted(_DECODER_DOCS)),
     seed=st.integers(0, 2**32 - 1),
     fault=st.sampled_from([None, "true", "1.0", "bool-color", "missing-obs"]),
+    shape=st.sampled_from([None, "reversed", "repeated"]),
 )
-def test_decoder_agrees_with_the_naive_decoder(name, seed, fault):
+def test_decoder_agrees_with_the_naive_decoder(name, seed, fault, shape):
     # The document is respelled entry by entry, its facets listed in another
     # order, and one vertex entry whose vertex was listed before is spoilt.
+    # One facet may list its vertices against color order, or be listed
+    # twice with its atoms entry repeated.
     rng = random.Random(seed)
     doc = json.loads(_DECODER_DOCS[name])
     order = list(range(len(doc["facets"])))
     rng.shuffle(order)
     doc["facets"] = [doc["facets"][i] for i in order]
     doc["atoms"] = [doc["atoms"][i] for i in order]
+    i = rng.randrange(len(order))
+    if shape == "reversed":
+        doc["facets"][i]["vertices"].reverse()
+    elif shape == "repeated":
+        k = rng.randrange(len(order) + 1)
+        doc["facets"].insert(k, {"vertices": list(doc["facets"][i]["vertices"])})
+        doc["atoms"].insert(k, doc["atoms"][i])
     rows = [f["vertices"] for f in doc["facets"]]
     seen, later = set(), []
     for i, row in enumerate(rows):
