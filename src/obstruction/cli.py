@@ -203,7 +203,7 @@ def _dump(doc) -> list[str]:
 
 def _model_text(model: models.SimplicialModel) -> str:
     c = model.complex
-    lines = [f"n={c.n} facets={len(c.facets)}"]
+    lines = [f"n={c.n} facets={len(c)}"]
     atom_texts = {
         vector: " ".join(f"input({a},{v})" for a, v in enumerate(vector))
         for vector in set(model.inputs)
@@ -215,7 +215,7 @@ def _model_text(model: models.SimplicialModel) -> str:
 
 def _action_text(action: tasks.ActionModel) -> str:
     c = action.complex
-    lines = [f"n={c.n} name={action.name} facets={len(c.facets)}"]
+    lines = [f"n={c.n} name={action.name} facets={len(c)}"]
     for i, (text, phi) in enumerate(zip(facet_texts(c), action.pre)):
         lines.append(f"f{i}: {text}  pre: {render(phi)}")
     return "\n".join(lines) + "\n"

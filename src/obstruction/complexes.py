@@ -7,19 +7,20 @@ equality are the tuples' own and structural: two facets share an agent's
 vertex exactly when that agent's color and observation coincide in both.
 
 Tuple order compares frozenset views by inclusion, so vertices and facets are
-never sorted by their natural order. The builders in this package share one
-object per distinct vertex across the facets of a complex (products key
-theirs by the factors' vertex ids). A complex
-keeps its facets in `Facet.key` order, computed by ranking its distinct
-vertices once by `Vertex.key` and comparing facets by their tuples of
-integer ranks (`_key_order`, which the view-action builder and the JSON
-decoder also call on their own numbered vertices, so neither builds a `Facet`
-through its checks); a product complex takes both orders from its factors'
-vertex ids instead (see `_product_facets`).
+never sorted by their natural order. A complex is stored as its distinct
+vertices in `Vertex.key` order and its rows: per facet, the tuple of its
+vertices' positions in color order, the rows sorted, which is `Facet.key`
+order. Every builder hands `ChromaticComplex` such rows, and the complex
+checks their colors; its `Facet` tuples, `vertex_id` and `index` are views
+built on first use. `_key_order` ranks numbered vertices once by `Vertex.key`
+and sorts the facets as tuples of integer ranks; the view-action builder,
+the JSON decoder and `ChromaticComplex` over `Facet`s all go through it, and
+a product complex takes both orders from its factors' rows instead (see
+`_product_facets`).
 """
 
 from marshal import dumps
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 # An observation is one of:
@@ -128,19 +129,14 @@ class Facet(tuple):
         return f"Facet({self.text()})"
 
 
-def _facet(vertices: tuple[Vertex, ...]) -> Facet:
-    """A facet of vertices already holding the colors 0..n in order, made
-    without `Facet`'s checks."""
-    return tuple.__new__(Facet, vertices)
-
-
 def _key_order(
-    vertices: Sequence[Vertex], facets: Sequence[tuple[int, ...]]
-) -> tuple[list[Vertex], list[int]]:
+    vertices: Sequence[Vertex], rows: Sequence[tuple[int, ...]]
+) -> tuple[list[Vertex], list[int], list[tuple[int, ...]]]:
     """Canonical order from numbered vertices. `vertices` are distinct, in
-    any order, and each entry of `facets` lists a distinct facet's vertices
-    in color order by their positions in `vertices`. Returns the vertices in
-    `Vertex.key` order and the positions in `facets` in `Facet.key` order.
+    any order, and each entry of `rows` lists a distinct facet's vertices in
+    color order by their positions in `vertices`. Returns the vertices in
+    `Vertex.key` order, the positions in `rows` in `Facet.key` order, and the
+    rows in that order over the sorted vertices.
 
     Vertex.key is injective, so comparing facets by the ranks of their
     vertices in Vertex.key order is the same as comparing Facet.key: the
@@ -149,69 +145,83 @@ def _key_order(
     rank = [0] * len(vertices)
     for r, i in enumerate(by_key):
         rank[i] = r
-    keys = [tuple(map(rank.__getitem__, f)) for f in facets]
+    keys = [tuple(map(rank.__getitem__, row)) for row in rows]
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    return list(map(vertices.__getitem__, by_key)), order
-
-
-def _canonical(n: int, facets: Iterable[Facet]) -> tuple[list[Vertex], list[Facet]]:
-    """The distinct vertices of `facets` in `Vertex.key` order and the distinct
-    facets in `Facet.key` order, checked to hold the colors 0..n."""
-    unique = list(set(facets))
-    if not unique:
-        raise ValueError("a complex needs at least one facet")
-    distinct = list(set().union(*unique))
-    number = {v: i for i, v in enumerate(distinct)}
-    vertices, order = _key_order(
-        distinct, [tuple(map(number.__getitem__, f)) for f in unique]
-    )
-    canon = list(map(unique.__getitem__, order))
-    # A facet's colors are distinct, so n + 1 of them drawn from 0..n are
-    # exactly 0..n; only a failing complex looks at each facet's colors.
-    expected = tuple(range(n + 1))
-    if not {v.color for v in vertices} <= set(expected) or set(map(len, canon)) != {n + 1}:
-        bad = next(f for f in canon if f.colors != expected)
-        raise ValueError(
-            f"facet colors {bad.colors} do not match dimension {n} "
-            f"(expected {expected})"
-        )
-    return vertices, canon
+    return list(map(vertices.__getitem__, by_key)), order, list(map(keys.__getitem__, order))
 
 
 class ChromaticComplex:
-    """A pure chromatic complex of dimension n, stored by its facets.
+    """A pure chromatic complex of dimension n, stored as its distinct
+    vertices in `Vertex.key` order (`vertices()`) and `rows`: per facet id,
+    the tuple of that facet's vertex positions, in color order.
 
-    Facets are deduplicated and kept in canonical `Facet.key` order, so
-    indices are stable identifiers for export and reporting. The distinct
-    vertices are kept in `Vertex.key` order, and `vertex_id` maps each to its
-    position there. The facet-to-index map behind `index` and `in` is built
-    on first use.
+    Rows are distinct and sorted, which is `Facet.key` order, so facet ids
+    are stable identifiers for export and reporting. The `Facet` tuples
+    (`facets`), the vertex-to-position map `vertex_id` and the facet-to-id
+    map behind `index` and `in` are views, each built on first use.
     """
 
-    __slots__ = ("n", "facets", "vertex_id", "_vertices", "_pos")
+    __slots__ = ("n", "rows", "_vertices", "_facets", "_vertex_id", "_pos")
 
     def __init__(
-        self, n: int, facets: Iterable[Facet], vertices: tuple[Vertex, ...] | None = None
+        self, n: int, facets: Iterable, vertices: Sequence[Vertex] | None = None
     ):
-        """`vertices`, when given, are the facets' distinct vertices in
-        `Vertex.key` order, and `facets` are then taken as they are: distinct,
-        in `Facet.key` order and holding the colors 0..n. Only the product and
-        view-action builders, which know both orders, pass them."""
+        """`facets` are `Facet`s in any order, maybe repeated, or, when
+        `vertices` (distinct, in `Vertex.key` order) is given, the rows over
+        them: distinct, sorted, and using every vertex. Either way every
+        facet is checked to hold the colors 0..n."""
         if n < 0:
             raise ValueError("dimension must be nonnegative")
         if vertices is None:
-            vertices, facets = _canonical(n, facets)
-        elif not facets:
+            unique = set(facets)
+            distinct = list(set().union(*unique))
+            number = {v: i for i, v in enumerate(distinct)}
+            vertices, _, facets = _key_order(
+                distinct, [tuple(map(number.__getitem__, f)) for f in unique]
+            )
+        rows = list(facets)
+        if not rows:
             raise ValueError("a complex needs at least one facet")
+        # Vertices of color a fill column a exactly when every facet holds
+        # the colors 0..n; only a failing complex looks at each facet's
+        # colors, and the first such facet in row order is named.
+        colors = [v.color for v in vertices]
+        if set(map(len, rows)) != {n + 1} or any(
+            {colors[u] for u in set(map(itemgetter(a), rows))} != {a} for a in range(n + 1)
+        ):
+            bad = next(
+                row for row in rows
+                if len(row) != n + 1 or any(colors[u] != a for a, u in enumerate(row))
+            )
+            raise ValueError(
+                f"facet colors {tuple(map(colors.__getitem__, bad))} do not match "
+                f"dimension {n} (expected colors 0..{n})"
+            )
         self.n = n
-        self.facets: tuple[Facet, ...] = tuple(facets)
-        self.vertex_id: dict[Vertex, int] = {v: i for i, v in enumerate(vertices)}
+        self.rows: list[tuple[int, ...]] = rows
         self._vertices = tuple(vertices)
+        self._facets: tuple[Facet, ...] | None = None
+        self._vertex_id: dict[Vertex, int] | None = None
         self._pos: dict[Facet, int] | None = None
 
     def vertices(self) -> tuple[Vertex, ...]:
         """The distinct vertices in `Vertex.key` order, numbered by `vertex_id`."""
         return self._vertices
+
+    @property
+    def facets(self) -> tuple[Facet, ...]:
+        """The facets in id order, sharing one object per vertex."""
+        if self._facets is None:
+            vertex = self._vertices.__getitem__
+            self._facets = tuple([tuple.__new__(Facet, map(vertex, row)) for row in self.rows])
+        return self._facets
+
+    @property
+    def vertex_id(self) -> dict[Vertex, int]:
+        """Each vertex's position in `vertices()`."""
+        if self._vertex_id is None:
+            self._vertex_id = {v: i for i, v in enumerate(self._vertices)}
+        return self._vertex_id
 
     def _positions(self) -> dict[Facet, int]:
         if self._pos is None:
@@ -229,69 +239,68 @@ class ChromaticComplex:
         return facet in self._positions()
 
     def __len__(self) -> int:
-        return len(self.facets)
+        return len(self.rows)
 
     def __eq__(self, other) -> bool:
+        # Every vertex lies on a row, so equal vertices and rows are equal facets.
         return (
             isinstance(other, ChromaticComplex)
             and self.n == other.n
-            and self.facets == other.facets
+            and self.rows == other.rows
+            and self._vertices == other._vertices
         )
 
     def __repr__(self) -> str:
-        return f"ChromaticComplex(n={self.n}, facets={len(self.facets)})"
+        return f"ChromaticComplex(n={self.n}, facets={len(self.rows)})"
 
 
 def facet_texts(c: ChromaticComplex) -> list[str]:
     """`Facet.text()` of every facet in order, rendering each distinct vertex once."""
-    texts = {v: v.text() for v in c.vertices()}
-    return [" ".join(map(texts.__getitem__, f)) for f in c.facets]
+    texts = [v.text() for v in c.vertices()]
+    return [" ".join(map(texts.__getitem__, row)) for row in c.rows]
 
 
 def _product_facets(
     c: ChromaticComplex, d: ChromaticComplex, pairs
-) -> tuple[list[Facet], tuple[Vertex, ...]]:
-    """The product facets of x and each y, for each (x, ys) in `pairs`: x a
-    facet of c, ys ids of facets of d, no pair twice, and c.n == d.n. Returns
-    them in `Facet.key` order, with their distinct vertices in `Vertex.key`
-    order, as `ChromaticComplex` takes them.
+) -> tuple[list[tuple[int, ...]], list[Vertex]]:
+    """The product facets of x and each y, for each (x, ys) in `pairs`: x the
+    id of a facet of c, ys ids of facets of d, no pair twice, and c.n == d.n.
+    Returns their rows in `Facet.key` order over their distinct vertices in
+    `Vertex.key` order, as `ChromaticComplex` takes them.
 
     A product vertex is keyed by its factors' vertex ids, `left id × width +
     right id`. Both factors number their vertices in `Vertex.key` order, and
     the color and the left observation come first in a product vertex's key,
     so these keys order product vertices as `Vertex.key` does, and sorting
-    the facets' key tuples puts them in `Facet.key` order. Both factors hold
-    the colors 0..n in order, so vertices pair by position, and each product
-    vertex is made once."""
+    the facets' key tuples puts them in `Facet.key` order. Both factors' rows
+    hold the colors 0..n in order, so vertices pair by position, and each
+    product vertex is made once."""
     left, right = c.vertices(), d.vertices()
     width = len(right)
-    right_id = d.vertex_id.__getitem__
-    rows = [tuple(map(right_id, y)) for y in d.facets]
     keys = []
     for x, ys in pairs:
-        base = [c.vertex_id[u] * width for u in x]
-        keys.extend([tuple(map(add, base, rows[j])) for j in ys])
+        base = [u * width for u in c.rows[x]]
+        keys.extend([tuple(map(add, base, d.rows[j])) for j in ys])
     keys.sort()
-    made = {}
-    for key in sorted(set().union(*keys)):
-        u, w = left[key // width], right[key % width]
-        made[key] = Vertex(u.color, (u.obs, w.obs))
-    # Each key is replaced by its facet in place, so the keys are freed as
-    # the facets are made, and the two lists never coexist.
-    vertex = made.__getitem__
+    made = sorted(set().union(*keys))
+    factors = [(left[key // width], right[key % width]) for key in made]
+    vertices = [Vertex(u.color, (u.obs, w.obs)) for u, w in factors]
+    # Each key is replaced by its row in place, so the two lists never
+    # coexist; positions rise with keys, so the rows stay sorted.
+    position = {key: i for i, key in enumerate(made)}.__getitem__
     for i, key in enumerate(keys):
-        keys[i] = _facet(tuple(map(vertex, key)))
-    return keys, tuple(made.values())
+        keys[i] = tuple(map(position, key))
+    return keys, vertices
 
 
 def complex_to_json(c: ChromaticComplex) -> dict:
     """The complex as a JSON document with one `{"color", "obs"}` entry per
     distinct vertex. The facets holding a vertex share its entry object, so
     callers must not mutate an entry in place."""
-    entries = {v: {"color": v.color, "obs": obs_to_json(v.obs)} for v in c.vertices()}
+    entries = [{"color": v.color, "obs": obs_to_json(v.obs)} for v in c.vertices()]
     return {
         "n": c.n,
-        "facets": [{"vertices": list(map(entries.__getitem__, f))} for f in c.facets],
+        "facets": [{"vertices": list(map(entries.__getitem__, row))} for row in c.rows],
     }
 
 
@@ -346,36 +355,22 @@ def complex_from_json(data: dict) -> tuple[ChromaticComplex, list[int]]:
                 colors.append(vertex.color)
         return found
 
-    def row(entry) -> tuple[int, ...]:
-        return tuple(map(entry_number, _json_field(entry, "vertices", list, "facet entry")))
-
-    # A facet listed with the colors 0..n in order is the tuple of its vertex
-    # numbers; `index` numbers the distinct facets, `listed` each listing.
+    # A listing with the colors 0..len-1 in order is the tuple of its vertex
+    # numbers; any other is read through `Facet`, which sorts its vertices
+    # by color or reports what is wrong, in document order. `index` numbers
+    # the distinct rows, `listed` each listing.
     index: dict[tuple[int, ...], int] = {}
     listed = []
-    if n >= 0:
-        expected = None
-        for entry in raw_facets:
-            numbers = row(entry)
-            if len(numbers) != n + 1:
-                break
-            # Made once a facet lists n + 1 vertices: `n` is the document's.
-            expected = expected or tuple(range(n + 1))
-            if tuple(map(colors.__getitem__, numbers)) != expected:
-                break
-            listed.append(index.setdefault(numbers, len(index)))
-        else:
-            rows = list(index)
-            vertices, order = _key_order(made, rows)
-            ids = [0] * len(order)
-            for i, j in enumerate(order):
-                ids[j] = i
-            vertex = made.__getitem__
-            facets = [_facet(tuple(map(vertex, rows[j]))) for j in order]
-            return ChromaticComplex(n, facets, vertices), list(map(ids.__getitem__, listed))
-    # Any other document (n < 0, or a facet whose colors are not 0..n in
-    # order) is read through `Facet` and `_canonical`, which sort its facets'
-    # vertices by color or report what is wrong, in document order.
-    facets = [Facet(map(made.__getitem__, row(entry))) for entry in raw_facets]
-    c = ChromaticComplex(n, facets)
-    return c, list(map(c.index, facets))
+    expected: tuple[int, ...] = ()
+    for entry in raw_facets:
+        row = tuple(map(entry_number, _json_field(entry, "vertices", list, "facet entry")))
+        if len(row) > len(expected):
+            expected = tuple(range(len(row)))
+        if not row or tuple(map(colors.__getitem__, row)) != expected[:len(row)]:
+            row = tuple(map(number.__getitem__, Facet(map(made.__getitem__, row))))
+        listed.append(index.setdefault(row, len(index)))
+    vertices, order, rows = _key_order(made, list(index))
+    ids = [0] * len(order)
+    for i, j in enumerate(order):
+        ids[j] = i
+    return ChromaticComplex(n, rows, vertices), list(map(ids.__getitem__, listed))

@@ -59,7 +59,7 @@ class SimplicialModel:
     """
 
     def __init__(self, complex: ChromaticComplex, inputs: tuple[tuple[int, ...], ...]):
-        if len(inputs) != len(complex.facets):
+        if len(inputs) != len(complex):
             raise ValueError("one input vector per facet required")
         self.complex = complex
         self.inputs = inputs
@@ -128,21 +128,21 @@ class SimplicialModel:
         `D[agents]` ("dist") or `C[agents]` ("common") quantifies over.
 
         `D` blocks are the facets sharing their vertex of every agent: for
-        one agent, the `vertex_id` of its vertex; for more, the zip of those
-        columns; for none, one block. `C` blocks are the connected components
-        of the agents' partitions: roots of a union-find over vertex ids, or
-        singletons for no agents.
+        one agent, the id of its vertex, column a of the complex's rows; for
+        more, the zip of those columns; for none, one block. `C` blocks are
+        the connected components of the agents' partitions: roots of a
+        union-find over vertex ids, or singletons for no agents.
         """
-        facets = self.complex.facets
+        rows = self.complex.rows
         if kind == "dist" and len(agents) == 1:
             (a,) = agents
-            return map(self.complex.vertex_id.__getitem__, map(operator.itemgetter(a), facets))
+            return map(operator.itemgetter(a), rows)
         columns = [self._block_ids("dist", frozenset((a,))) for a in sorted(agents)]
         if kind == "dist":
-            return zip(*columns) if columns else repeat(0, len(facets))
+            return zip(*columns) if columns else repeat(0, len(rows))
         if not columns:
-            return range(len(facets))
-        parent = list(range(len(self.complex.vertex_id)))
+            return range(len(rows))
+        parent = list(range(len(self.complex.vertices())))
 
         def root(i: int) -> int:
             while parent[i] != i:
@@ -188,7 +188,8 @@ class SimplicialModel:
 
     def counterexamples(self, phi: Formula, cap: int = 10) -> list[Facet]:
         """Up to `cap` falsifying facets, in canonical order."""
-        return [self.complex.facets[i] for i in self._failing_ids(phi, cap)]
+        facets = self.complex.facets
+        return [facets[i] for i in self._failing_ids(phi, cap)]
 
 
 def _atom_masks(inputs: tuple[tuple[int, ...], ...]) -> dict[tuple[int, int], int]:
@@ -261,23 +262,22 @@ def induce_model(complex: ChromaticComplex, projection: str) -> SimplicialModel:
         if not isinstance(obs, int):
             raise ValueError(f"input of vertex {v.text()} is not an integer value")
 
+    vertices = complex.vertices()
     try:
-        for v in complex.vertices():
+        for v in vertices:
             check(v)
     except ValueError:
         # Name the first offending vertex in facet order.
-        for facet in complex.facets:
-            for v in facet:
-                check(v)
+        for v in map(vertices.__getitem__, chain.from_iterable(complex.rows)):
+            check(v)
         raise
     # Every vertex carries an integer input: its obs, or item 0 of a product
-    # vertex's obs. A vertex is the tuple (color, obs), so the inputs of all
-    # vertex occurrences are read in one C-level pass, and a facet holds the
-    # colors 0..n in order, so they regroup n + 1 at a time into each facet's
-    # input vector. Equal vectors are interned to one tuple.
-    inputs = map(operator.itemgetter(1), chain.from_iterable(complex.facets))
-    if projection == "left":
-        inputs = map(operator.itemgetter(0), inputs)
+    # vertex's obs. It is read once per vertex, and the rows, each holding
+    # the colors 0..n in order, are read in one C-level pass and regroup
+    # n + 1 at a time into each facet's input vector. Equal vectors are
+    # interned to one tuple.
+    values = [v.obs[0] if projection == "left" else v.obs for v in vertices]
+    inputs = map(values.__getitem__, chain.from_iterable(complex.rows))
     vectors = list(zip(*[inputs] * (complex.n + 1)))
     shared = {vector: vector for vector in set(vectors)}
     return SimplicialModel(complex, tuple(map(shared.__getitem__, vectors)))
@@ -290,7 +290,7 @@ def _morphism_images(
 ) -> tuple[str | None, list[int | None]]:
     """`morphism_violation`'s answer, with the facet images it checked (none
     when a vertex fails first): per source facet, the id of the target facet
-    `delta` maps it onto, or None. Facets compare as tuples of the target's
+    `delta` maps it onto, or None. Facets compare as rows of the target's
     vertex ids, one lookup per source vertex."""
     for v in source.complex.vertices():
         image = delta.get(v)
@@ -299,14 +299,13 @@ def _morphism_images(
         if image.color != v.color:
             return f"vertex {v.text()} maps to color {image.color}", []
     ids = target.complex.vertex_id
-    by_ids = {tuple(map(ids.__getitem__, f)): j for j, f in enumerate(target.complex.facets)}
-    image_id = {v: ids.get(delta[v]) for v in source.complex.vertices()}
-    images = [by_ids.get(tuple(map(image_id.__getitem__, f))) for f in source.complex.facets]
-    for i, (facet, j) in enumerate(zip(source.complex.facets, images)):
-        if j is None:
-            return f"facet {facet.text()} maps outside the target complex", images
-        if target.inputs[j] != source.inputs[i]:
-            return f"facet {facet.text()} changes its labeling", images
+    by_row = {row: j for j, row in enumerate(target.complex.rows)}
+    image_id = [ids.get(delta[v]) for v in source.complex.vertices()]
+    images = [by_row.get(tuple(map(image_id.__getitem__, row))) for row in source.complex.rows]
+    for i, j in enumerate(images):
+        if j is None or target.inputs[j] != source.inputs[i]:
+            what = "maps outside the target complex" if j is None else "changes its labeling"
+            return f"facet {source.complex.facets[i].text()} {what}", images
     return None, images
 
 
@@ -376,17 +375,18 @@ def complex_to_dot(complex: ChromaticComplex) -> str:
     lines = ["graph model {", "  node [shape=box];"]
     for i, text in enumerate(facet_texts(complex)):
         lines.append(f'  f{i} [label="{text}"];')
-    ids = complex.vertex_id
-    stars: list[list[int]] = [[] for _ in ids]
-    for i, facet in enumerate(complex.facets):
-        for v in facet:
-            stars[ids[v]].append(i)
-    for i, facet in enumerate(complex.facets):
+    rows = complex.rows
+    stars: list[list[int]] = [[] for _ in complex.vertices()]
+    for i, row in enumerate(rows):
+        for u in row:
+            stars[u].append(i)
+    for i, row in enumerate(rows):
         shared: dict[int, list[str]] = {}
-        for v in facet:
-            star, color = stars[ids[v]], str(v.color)
+        # A row lists its vertices in color order.
+        for color, u in enumerate(row):
+            star = stars[u]
             for j in star[bisect_right(star, i):]:
-                shared.setdefault(j, []).append(color)
+                shared.setdefault(j, []).append(str(color))
         for j in sorted(shared):
             lines.append(f'  f{i} -- f{j} [label="{",".join(shared[j])}"];')
     lines.append("}")

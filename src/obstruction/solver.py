@@ -63,9 +63,10 @@ def find_morphism(
     # Allowed decision vectors per input vector of the task (facets are pure,
     # so position i is color i). masks[inputs][i][d] has bit j set when the
     # j-th allowed vector decides d at position i.
+    decided = [v.obs[1] for v in task.complex.vertices()]
     allowed: dict[tuple, list[tuple]] = {}
-    for f, inputs in zip(task.complex.facets, task.inputs):
-        allowed.setdefault(inputs, []).append(tuple([v.obs[1] for v in f]))
+    for row, inputs in zip(task.complex.rows, task.inputs):
+        allowed.setdefault(inputs, []).append(tuple(map(decided.__getitem__, row)))
     masks: dict[tuple, list[dict]] = {}
     for inputs, vectors in allowed.items():
         table = masks[inputs] = [{} for _ in inputs]
@@ -75,25 +76,26 @@ def find_morphism(
 
     # live[i]: the allowed vectors of protocol facet i that agree with every
     # decision fixed so far; the facet can still be completed iff it is nonzero.
-    live: list[int] = []
-    incidence: dict[Vertex, list[tuple[int, dict]]] = {}
-    no_vectors = [{}] * (protocol.complex.n + 1)
-    for i, (facet, inputs) in enumerate(zip(protocol.complex.facets, protocol.inputs)):
-        live.append((1 << len(allowed.get(inputs, ()))) - 1)
-        for v, column in zip(facet, masks.get(inputs, no_vectors)):
-            incidence.setdefault(v, []).append((i, column))
+    # incidence[u]: the facets of vertex id u, each with its column of masks.
     vertices = protocol.complex.vertices()
-    candidates = {v: decisions.get((v.color, v.obs[0]), []) for v in vertices}
+    live: list[int] = []
+    incidence: list[list[tuple[int, dict]]] = [[] for _ in vertices]
+    no_vectors = [{}] * (protocol.complex.n + 1)
+    for i, (row, inputs) in enumerate(zip(protocol.complex.rows, protocol.inputs)):
+        live.append((1 << len(allowed.get(inputs, ()))) - 1)
+        for u, column in zip(row, masks.get(inputs, no_vectors)):
+            incidence[u].append((i, column))
+    candidates = [decisions.get((v.color, v.obs[0]), []) for v in vertices]
 
     # Most constrained first; higher facet degree breaks ties for pruning
     # power, then the (stable) canonical vertex order.
-    order = sorted(vertices, key=lambda v: (len(candidates[v]), -len(incidence[v])))
+    order = sorted(range(len(vertices)), key=lambda u: (len(candidates[u]), -len(incidence[u])))
     # Per depth: the facets of its vertex, and for each of its candidate
     # decisions the masks that fixing it ands into those facets' live sets.
-    facet_ids = [[i for i, _ in incidence[v]] for v in order]
+    facet_ids = [[i for i, _ in incidence[u]] for u in order]
     narrowing = [
-        [[column.get(d, 0) for _, column in incidence[v]] for d in candidates[v]]
-        for v in order
+        [[column.get(d, 0) for _, column in incidence[u]] for d in candidates[u]]
+        for u in order
     ]
 
     # Depth-first over `order` with an explicit stack: tried[k] counts the
@@ -124,9 +126,9 @@ def find_morphism(
                 live[i] = m
             depth += 1
 
-    chosen = {v: candidates[v][tried[k] - 1] for k, v in enumerate(order)}
+    chosen = {u: candidates[u][tried[k] - 1] for k, u in enumerate(order)}
     witness = {
-        v: Vertex(v.color, (v.obs[0], chosen[v])) for v in vertices
+        v: Vertex(v.color, (v.obs[0], chosen[u])) for u, v in enumerate(vertices)
     }
     # A facet's input vector is read off its vertices, so a map that keeps
     # every facet's vector keeps every vertex's input.
@@ -153,7 +155,7 @@ def knowledge_gain_check(
     if problem is not None:
         raise ValueError(f"not a morphism: {problem}")
     # preimages[j]: the source facets that delta maps onto target facet j.
-    preimages = [0] * len(target.complex.facets)
+    preimages = [0] * len(target.complex)
     for i, j in enumerate(images):
         preimages[j] |= 1 << i
     for phi in formulas:

@@ -25,7 +25,6 @@ from .complexes import (
     Vertex,
     complex_to_json,
     complex_from_json,
-    _facet,
     _key_order,
     _json_field,
     _product_facets,
@@ -45,9 +44,9 @@ class ActionModel:
     name: str
 
     def __post_init__(self):
-        if len(self.pre) != len(self.complex.facets):
+        if len(self.pre) != len(self.complex):
             raise ValueError(
-                f"{len(self.complex.facets)} facets but {len(self.pre)} preconditions"
+                f"{len(self.complex)} facets but {len(self.pre)} preconditions"
             )
 
 
@@ -74,9 +73,12 @@ def initial_complex(n: int, inputs: Iterable[int]) -> ChromaticComplex:
     if not all(type(v) is int for v in given):
         raise TypeError("input values must be integers")
     values = sorted(set(given))
-    vertices = [[Vertex(a, value) for value in values] for a in range(n + 1)]
-    facets = [Facet(choice) for choice in iter_product(*vertices)]
-    return ChromaticComplex(n, facets)
+    # Agent by agent, value by value is `Vertex.key` order, and the product
+    # of each agent's range of positions lists the rows in sorted order.
+    vertices = [Vertex(a, value) for a in range(n + 1) for value in values]
+    m = len(values)
+    rows = list(iter_product(*(range(a * m, a * m + m) for a in range(n + 1))))
+    return ChromaticComplex(n, rows, vertices)
 
 
 def initial_model(n: int, inputs: Iterable[int]) -> SimplicialModel:
@@ -93,14 +95,14 @@ def _view_action(n: int, vectors, inputs: Iterable[int], name: str) -> ActionMod
 
     Agent a's vertex holds the inputs of the agents in vector[a]. The
     distinct (agent, view) cells are numbered once, each input facet selects
-    one vertex per cell, and the distinct vertices are numbered once. A row
-    lists one cell per agent, in agent order, so a facet is the tuple of its
-    row's vertex numbers, and `_key_order` sorts those tuples into
-    `Facet.key` order. Every agent sees its own input, so no facet arises
+    one vertex per cell, and the distinct vertices are numbered once. A
+    vector lists one cell per agent, in agent order, so a facet is the tuple
+    of its cells' vertex numbers, and `_key_order` sorts those tuples into
+    the complex's rows. Every agent sees its own input, so no facet arises
     from two input facets.
     """
     cells: dict[tuple[int, frozenset[int]], int] = {}
-    rows = [tuple(cells.setdefault(c, len(cells)) for c in enumerate(v)) for v in vectors]
+    by_cell = [tuple(cells.setdefault(c, len(cells)) for c in enumerate(v)) for v in vectors]
     facets_in = initial_complex(n, inputs).facets
     numbers: dict[tuple[int, frozenset], int] = {}
     keys = []
@@ -111,15 +113,12 @@ def _view_action(n: int, vectors, inputs: Iterable[int], name: str) -> ActionMod
             numbers.setdefault((a, frozenset([(b, obs[b]) for b in seen])), len(numbers))
             for a, seen in cells
         ]
-        keys.extend([tuple(map(picks.__getitem__, row)) for row in rows])
-    made = list(map(Vertex._make, numbers))
-    vertices, order = _key_order(made, keys)
-    vertex = made.__getitem__
-    facets = [_facet(tuple(map(vertex, keys[i]))) for i in order]
+        keys.extend([tuple(map(picks.__getitem__, v)) for v in by_cell])
+    vertices, order, rows = _key_order(list(map(Vertex._make, numbers)), keys)
     guards = [pin_formula(x) for x in facets_in]
-    width = len(rows)
+    width = len(by_cell)
     pre = tuple([guards[i // width] for i in order])
-    return ActionModel(ChromaticComplex(n, facets, vertices), pre, name)
+    return ActionModel(ChromaticComplex(n, rows, vertices), pre, name)
 
 
 def view_vectors(n: int, adversary: Adversary) -> list[tuple[frozenset[int], ...]]:
@@ -183,12 +182,10 @@ def set_agreement_action(n: int, k: int, values: Iterable[int]) -> ActionModel:
     if not 1 <= k <= n + 1:
         raise ValueError(f"agreement bound {k} out of range 1..{n + 1}")
     agents = range(n + 1)
-    vertices = [[Vertex(a, d) for d in sorted(set(values))] for a in agents]
-    chosen = ChromaticComplex(n, [
-        Facet(choice)
-        for choice in iter_product(*vertices)
-        if len({v.obs for v in choice}) <= k
-    ])
+    full = initial_complex(n, values)
+    decided = [v.obs for v in full.vertices()]
+    rows = [row for row in full.rows if len(set(map(decided.__getitem__, row))) <= k]
+    chosen = ChromaticComplex(n, rows, full.vertices())
     # Each decision must be some agent's input.
     pre = tuple(
         and_(*(or_(*(atom(b, v.obs) for b in agents)) for v in facet))
@@ -214,15 +211,15 @@ def apply_action(model: SimplicialModel, action: ActionModel) -> SimplicialModel
     groups: dict[Formula, list[int]] = {}
     for j, pre in enumerate(action.pre):
         groups.setdefault(pre, []).append(j)
-    kept, vertices = _product_facets(model.complex, action.complex, (
-        (x, ys)
-        for x in model.complex.facets
+    rows, vertices = _product_facets(model.complex, action.complex, (
+        (i, ys)
+        for i, x in enumerate(model.complex.facets)
         for pre, ys in groups.items()
         if model.satisfies(x, pre)
     ))
-    if not kept:
+    if not rows:
         raise ValueError("empty product update: preconditions exclude every pair")
-    return induce_model(ChromaticComplex(model.complex.n, kept, vertices), "left")
+    return induce_model(ChromaticComplex(model.complex.n, rows, vertices), "left")
 
 
 # -- serialization -----------------------------------------------------------
@@ -243,7 +240,7 @@ def action_from_json(data: dict) -> ActionModel:
     raw = data.get("pre")
     if not isinstance(raw, dict):
         raise ValueError("malformed action document: missing preconditions")
-    pre: list[Formula | None] = [None] * len(complex.facets)
+    pre: list[Formula | None] = [None] * len(complex)
     for i, j in enumerate(ids):
         text = raw.get(str(i))
         if not isinstance(text, str):

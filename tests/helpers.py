@@ -55,7 +55,7 @@ def project_right(z: Facet) -> Facet:
 def cartesian_product(c: ChromaticComplex, d: ChromaticComplex) -> ChromaticComplex:
     """The package's `_product_facets` run on every pair of facets, in the
     factor-id order it hands `ChromaticComplex`."""
-    return ChromaticComplex(c.n, *_product_facets(c, d, ((x, range(len(d))) for x in c.facets)))
+    return ChromaticComplex(c.n, *_product_facets(c, d, ((i, range(len(d))) for i in range(len(c)))))
 
 
 def input_of(facet: Facet, agent: int) -> int:

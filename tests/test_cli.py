@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -460,6 +461,24 @@ def test_export_refuses_a_facet_listing_a_vertex_twice(tmp_path, capsys):
     path.write_text(json.dumps({"n": 1, "facets": [facet]}))
     code, out, err = run(capsys, "export", str(path), "--format", "text")
     assert (code, out, err) == (2, "", "error: duplicate colors in facet: [0]\n")
+
+
+def test_export_refuses_a_huge_dimension_briefly_in_little_memory(tmp_path, capsys):
+    # The refusal names the dimension, not every color it expects.
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1000000, "facets": [{"vertices": [{"color": 0, "obs": 0}]}]}')
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "export", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: facet colors (0,) do not match dimension 1000000 (expected colors 0..1000000)\n"
+    )
+    assert len(err.encode()) < 200
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize(

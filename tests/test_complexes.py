@@ -315,7 +315,7 @@ def test_first_wrongly_colored_facet_in_key_order_is_reported(case):
     with pytest.raises(ValueError) as info:
         ChromaticComplex(n, facets)
     assert str(info.value) == (
-        f"facet colors {first.colors} do not match dimension {n} (expected {expected})"
+        f"facet colors {first.colors} do not match dimension {n} (expected colors 0..{n})"
     )
 
 

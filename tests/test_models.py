@@ -584,13 +584,13 @@ def _decoded(decode, doc):
     name=st.sampled_from(sorted(_DECODER_DOCS)),
     seed=st.integers(0, 2**32 - 1),
     fault=st.sampled_from([None, "true", "1.0", "bool-color", "missing-obs"]),
-    shape=st.sampled_from([None, "reversed", "repeated"]),
+    shape=st.sampled_from([None, "reversed", "repeated", "emptied"]),
 )
 def test_decoder_agrees_with_the_naive_decoder(name, seed, fault, shape):
     # The document is respelled entry by entry, its facets listed in another
     # order, and one vertex entry whose vertex was listed before is spoilt.
-    # One facet may list its vertices against color order, or be listed
-    # twice with its atoms entry repeated.
+    # One facet may list its vertices against color order, be listed twice
+    # with its atoms entry repeated, or list no vertices.
     rng = random.Random(seed)
     doc = json.loads(_DECODER_DOCS[name])
     order = list(range(len(doc["facets"])))
@@ -604,6 +604,8 @@ def test_decoder_agrees_with_the_naive_decoder(name, seed, fault, shape):
         k = rng.randrange(len(order) + 1)
         doc["facets"].insert(k, {"vertices": list(doc["facets"][i]["vertices"])})
         doc["atoms"].insert(k, doc["atoms"][i])
+    elif shape == "emptied":
+        doc["facets"][i]["vertices"] = []
     rows = [f["vertices"] for f in doc["facets"]]
     seen, later = set(), []
     for i, row in enumerate(rows):
@@ -627,7 +629,7 @@ def test_decoder_agrees_with_the_naive_decoder(name, seed, fault, shape):
     expected = _decoded(naive_complex_from_json, doc)
     got = _decoded(complex_from_json, doc)
     if isinstance(expected, str):
-        assert fault is not None
+        assert fault is not None or (shape == "emptied" and expected == "empty facet")
         assert got == expected == _decoded(model_from_json, doc)
         return
     assert fault is None

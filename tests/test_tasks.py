@@ -11,6 +11,7 @@ from obstruction.complexes import (
     complex_to_json,
 )
 from obstruction.formulas import FALSE, ParseError, render
+from obstruction.generators import adversary_obstruction, verify_obstruction
 from obstruction.tasks import (
     ActionModel,
     _view_action,
@@ -20,6 +21,7 @@ from obstruction.tasks import (
     binary_consensus_action,
     decide_own_input_action,
     immediate_snapshot_action,
+    initial_complex,
     initial_model,
     is_immediate,
     round_operator_action,
@@ -547,7 +549,6 @@ def test_product_in_factor_id_order_is_canonical(name):
 def _is_product():
     return apply_action(initial_model(2, (0, 1)), immediate_snapshot_action(2, (0, 1)))
 
-
 @pytest.mark.parametrize(
     "build",
     [
@@ -573,3 +574,52 @@ def test_json_round_trip_shares_one_object_per_vertex():
     c, _ = complex_from_json(complex_to_json(original))
     assert c == original
     assert len({id(v) for f in c.facets for v in f.vertices}) == len(c.vertices())
+
+
+# -- the row contract ------------------------------------------------------------
+
+
+def _decoded_respelled():
+    # One listing against color order and one listed twice: the decoder's
+    # `Facet` route and its plain route meet in one complex.
+    doc = complex_to_json(immediate_snapshot_action(2, (0, 1)).complex)
+    doc["facets"] = doc["facets"][::-1] + doc["facets"][:1]
+    doc["facets"][0] = {"vertices": doc["facets"][0]["vertices"][::-1]}
+    return complex_from_json(doc)[0]
+
+
+def _from_facets():
+    facets = list(apply_action(initial_model(2, (0, 1)), binary_consensus_action(2)).complex.facets)
+    return ChromaticComplex(2, facets[::-1] + facets[:3])
+
+
+ROW_BUILDERS = {
+    "initial": lambda: initial_complex(2, (2, 0, 1)),
+    "is": lambda: immediate_snapshot_action(2, (0, 1)).complex,
+    "round-waitfree": lambda: round_operator_action(2, waitfree(2), range(3)).complex,
+    "round-split-pair": lambda: round_operator_action(3, SPLIT_PAIR, (0, 1)).complex,
+    "sa2": lambda: set_agreement_action(2, 2, range(3)).complex,
+    "bc": lambda: binary_consensus_action(2).complex,
+    "trivial": lambda: decide_own_input_action(2, (0, 1)).complex,
+    "product": lambda: _is_product().complex,
+    "from-json": _decoded_respelled,
+    "from-facets": _from_facets,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_BUILDERS))
+def test_rows_are_sorted_distinct_vertex_ids_of_the_facets(name):
+    c = ROW_BUILDERS[name]()
+    assert c.rows == sorted(set(c.rows))
+    assert c.rows == [tuple(map(c.vertex_id.__getitem__, f)) for f in c.facets]
+    assert len(c) == len(c.rows)
+
+
+def test_product_and_refutation_build_no_facet_views():
+    initial = initial_model(2, range(3))
+    task = apply_action(initial, set_agreement_action(2, 1, range(3)))
+    protocol = apply_action(initial, round_operator_action(2, waitfree(2), range(3)))
+    report = verify_obstruction(task, protocol, adversary_obstruction(2, waitfree(2)))
+    assert report.task_verdict.is_valid and report.is_obstruction
+    for c in (task.complex, protocol.complex):
+        assert c._facets is None and c._vertex_id is None and c._pos is None
