@@ -53,10 +53,6 @@ def _joined_inputs(argv: list[str]) -> list[str]:
     return joined
 
 
-class UsageError(Exception):
-    pass
-
-
 def _load_adversary(token: str, n: int) -> adversaries.Adversary:
     if token == "waitfree":
         return adversaries.waitfree(n)
@@ -64,11 +60,11 @@ def _load_adversary(token: str, n: int) -> adversaries.Adversary:
         with open(token) as handle:
             adv = adversaries.adversary_from_json(json.load(handle))
     except OSError as exc:
-        raise UsageError(f"cannot read adversary file {token!r}: {exc}")
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"bad adversary file {token!r}: {exc}")
+        raise ValueError(f"cannot read adversary file {token!r}: {exc}")
+    except ValueError as exc:
+        raise ValueError(f"bad adversary file {token!r}: {exc}")
     if adv.n != n:
-        raise UsageError(f"adversary file {token!r} is for n={adv.n}, not n={n}")
+        raise ValueError(f"adversary file {token!r} is for n={adv.n}, not n={n}")
     return adv
 
 
@@ -92,7 +88,7 @@ def _round_adversary(spec: str, n: int) -> adversaries.Adversary:
     """The adversary of a `round:FILE` or `round:waitfree` spec, bare or in I[...]."""
     token = _action_tokens(spec)
     if token is None or not token.startswith("round:"):
-        raise UsageError(f"{spec!r} names no adversary: use round:FILE or round:waitfree")
+        raise ValueError(f"{spec!r} names no adversary: use round:FILE or round:waitfree")
     return _load_adversary(token.split(":", 1)[1], n)
 
 
@@ -104,11 +100,11 @@ def _bound(token: str, name: str, missing: str) -> int | None:
     if head != name:
         return None
     if not colon:
-        raise UsageError(missing)
+        raise ValueError(missing)
     try:
         return int(bound)
     except ValueError:
-        raise UsageError(f"bad agreement bound in {token!r}")
+        raise ValueError(f"bad agreement bound in {token!r}")
 
 
 def _build_action(token: str, n: int, inputs) -> tasks.ActionModel:
@@ -123,13 +119,13 @@ def _build_action(token: str, n: int, inputs) -> tasks.ActionModel:
         return tasks.set_agreement_action(n, k, inputs)
     if token.startswith("round"):
         return tasks.round_operator_action(n, _round_adversary(token, n), inputs)
-    raise UsageError(f"unknown model spec {token!r}")
+    raise ValueError(f"unknown model spec {token!r}")
 
 
 def _product_model(spec: str, n: int, inputs) -> models.SimplicialModel:
     token = _action_tokens(spec)
     if token is None:
-        raise UsageError(f"spec {spec!r} does not name a product model")
+        raise ValueError(f"spec {spec!r} does not name a product model")
     action = _build_action(token, n, inputs)
     return tasks.apply_action(tasks.initial_model(n, inputs), action)
 
@@ -250,21 +246,21 @@ def cmd_check(args) -> int:
     with open(args.model) as handle:
         model = models.model_from_json(json.load(handle))
     phi = parse(args.formula)
-    verdict = model.validity(phi)
+    failing = model._failing_ids(phi, 1)
     if args.format == "json":
         doc = {
             "formula": render(phi),
-            "valid": verdict.is_valid,
-            "counterexample": (
-                None
-                if verdict.is_valid
-                else model.complex.index(verdict.counterexample)
-            ),
+            "valid": not failing,
+            "counterexample": failing[0] if failing else None,
         }
         _emit(_dump(doc), args.out)
+    elif failing:
+        c = model.complex
+        text = " ".join(c.vertices()[u].text() for u in c.rows[failing[0]])
+        _emit([f"counterexample: {text}\n"], args.out)
     else:
-        _emit([models.verdict_text(verdict) + "\n"], args.out)
-    return 0 if verdict.is_valid else 1
+        _emit(["valid\n"], args.out)
+    return 1 if failing else 0
 
 
 def cmd_obstruct(args) -> int:
@@ -276,7 +272,7 @@ def cmd_obstruct(args) -> int:
     elif args.gen == "adversary":
         phi = generators.adversary_obstruction(args.n, _round_adversary(args.protocol, args.n))
     else:
-        raise UsageError(f"unknown generator {args.gen!r}")
+        raise ValueError(f"unknown generator {args.gen!r}")
 
     task, protocol = _product_models(args, args.task, args.protocol)
     report = generators.verify_obstruction(task, protocol, phi)
@@ -411,13 +407,10 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ParseError as exc:
         print(f"formula error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

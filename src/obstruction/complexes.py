@@ -115,10 +115,6 @@ class Facet(tuple):
         """The facet itself, read as its tuple of vertices."""
         return self
 
-    @property
-    def colors(self) -> tuple[int, ...]:
-        return tuple([v.color for v in self])
-
     def key(self) -> tuple:
         return tuple(v.key() for v in self)
 

@@ -67,79 +67,63 @@ def _values_known(group: frozenset[int], agents: range) -> Formula:
     return or_(*(atom(b, j) for j in sorted(group) for b in agents))
 
 
-@dataclass(frozen=True)
-class ObstructionFamily:
-    """The agreement obstruction with its per-group building blocks exposed."""
-
-    phi: Formula
-    guarded: dict
-    cases: dict
-
-
-def adversary_obstruction_family(n: int, adversary: Adversary) -> ObstructionFamily:
-    """Build the agreement obstruction for an adversary, by inverse inclusion.
+def adversary_obstruction_family(
+    n: int, adversary: Adversary
+) -> tuple[dict[frozenset[int], Formula], dict[frozenset[int], Formula]]:
+    """The agreement obstruction's per-group blocks `(guarded, cases)` for an
+    adversary, built by inverse inclusion: groups by descending size.
 
     `cases[A]` says: outside A someone missed the diagonal, or someone
     outside A knows a value of A was input, or a strictly larger group
-    already carries its own case distributedly. `guarded[A]` wraps the case
-    in distributed knowledge of A, or collapses to false when the processes
-    outside A cannot all survive. False branches are dropped from
-    disjunctions before emission.
+    already carries its own case distributedly. `guarded[A]`, for nonempty
+    A, wraps the case in distributed knowledge of A, or collapses to false
+    when the processes outside A cannot all survive. False branches are
+    dropped from disjunctions before emission.
     """
     if adversary.n != n:
         raise ValueError("adversary dimension mismatch")
+    agents = range(n + 1)
+    everyone = frozenset(agents)
+    guarded: dict[frozenset[int], Formula] = {}
+    cases: dict[frozenset[int], Formula] = {}
+    for group in _subsets_of(agents, range(n + 1, -1, -1)):
+        rest = sorted(everyone - group)
+        parts = [not_(atom(a, a)) for a in rest]
+        parts += [know(a, _values_known(group, agents)) for a in rest]
+        parts += [guarded[group | extra] for extra in _subsets_of(rest, range(1, len(rest) + 1))]
+        cases[group] = or_(*[p for p in parts if p is not FALSE])
+        if group:
+            survives = adversary.contains(everyone - group)
+            guarded[group] = distributed(group, cases[group]) if survives else FALSE
+    return guarded, cases
+
+
+def _cut(n: int, guarded: dict[frozenset[int], Formula], k: int) -> Formula:
+    """Someone missed the diagonal, or some group of 1 to k agents carries
+    its guarded case; false parts are dropped."""
+    agents = range(n + 1)
+    parts = [not_(atom(a, a)) for a in agents]
+    parts += [guarded[g] for g in _subsets_of(agents, range(1, k + 1))]
+    return or_(*[p for p in parts if p is not FALSE])
+
+
+def adversary_obstruction(n: int, adversary: Adversary) -> Formula:
+    """The agreement obstruction for an adversary, cut below its minimum core size."""
+    guarded, _ = adversary_obstruction_family(n, adversary)
     c = adversary.csize()
     if c < 2:
         raise ValueError(
             "no nontrivial agreement bound: minimum core size must be at least 2"
         )
-    agents = range(n + 1)
-    everyone = frozenset(agents)
-    guarded: dict[frozenset[int], Formula] = {}
-    cases: dict[frozenset[int], Formula] = {}
-
-    def disj(parts: list[Formula]) -> Formula:
-        return or_(*[p for p in parts if p is not FALSE])
-
-    def build(group: frozenset[int]) -> None:
-        rest = sorted(everyone - group)
-        parts = [not_(atom(a, a)) for a in rest]
-        parts += [know(a, _values_known(group, agents)) for a in rest]
-        parts += [
-            guarded[group | extra]
-            for extra in _subsets_of(rest, range(1, len(rest) + 1))
-        ]
-        cases[group] = disj(parts)
-        if group and adversary.contains(everyone - group):
-            guarded[group] = distributed(group, cases[group])
-        elif group:
-            guarded[group] = FALSE
-
-    for size in range(n + 1, -1, -1):
-        for group in _subsets_of(agents, [size]):
-            build(group)
-
-    phi = disj(
-        [not_(atom(a, a)) for a in agents]
-        + [guarded[g] for g in _subsets_of(agents, range(1, c))]
-    )
-    return ObstructionFamily(phi, guarded, cases)
-
-
-def adversary_obstruction(n: int, adversary: Adversary) -> Formula:
-    return adversary_obstruction_family(n, adversary).phi
+    return _cut(n, guarded, c - 1)
 
 
 def waitfree_kset_obstruction(n: int, k: int) -> Formula:
     """The wait-free adversary's obstruction, cut at groups of at most k agents."""
     if not 1 <= k <= n:
         raise ValueError(f"agreement bound {k} out of range 1..{n}")
-    agents = range(n + 1)
-    guarded = adversary_obstruction_family(n, waitfree(n)).guarded
-    return or_(
-        *(not_(atom(a, a)) for a in agents),
-        *(guarded[g] for g in _subsets_of(agents, range(1, k + 1))),
-    )
+    guarded, _ = adversary_obstruction_family(n, waitfree(n))
+    return _cut(n, guarded, k)
 
 
 @dataclass(frozen=True)

@@ -391,9 +391,3 @@ def complex_to_dot(complex: ChromaticComplex) -> str:
             lines.append(f'  f{i} -- f{j} [label="{",".join(shared[j])}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def verdict_text(verdict: Verdict) -> str:
-    if verdict.is_valid:
-        return "valid"
-    return f"counterexample: {verdict.counterexample.text()}"

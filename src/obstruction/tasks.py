@@ -131,10 +131,8 @@ def view_vectors(n: int, adversary: Adversary) -> list[tuple[frozenset[int], ...
     if adversary.n != n:
         raise ValueError("adversary dimension mismatch")
     agents = range(n + 1)
-    options = [
-        [s for s in _nonempty_subsets(agents) if a in s and adversary.contains(s)]
-        for a in agents
-    ]
+    surviving = [s for s in _nonempty_subsets(agents) if adversary.contains(s)]
+    options = [[s for s in surviving if a in s] for a in agents]
     vectors: list[tuple[frozenset[int], ...]] = [()]
     for choices in options:
         vectors = [

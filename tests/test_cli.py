@@ -170,6 +170,23 @@ def test_check_agent_out_of_range(tmp_path, capsys):
     assert "outside" in err
 
 
+def test_check_reports_the_first_failing_id_without_the_facet_map(tmp_path, capsys, monkeypatch):
+    doc = str(tmp_path / "wf2.json")
+    assert run(capsys, "build", "I[round:waitfree]", "--n", "2", "--out", doc)[0] == 0
+
+    def no_index(self, facet):
+        raise AssertionError("check must not hash a facet back to its id")
+
+    monkeypatch.setattr("obstruction.complexes.ChromaticComplex.index", no_index)
+    code, out, _ = run(capsys, "check", doc, "--formula", "input(0,0)", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["counterexample"] == 171
+    code, out, _ = run(capsys, "check", doc, "--formula", "input(0,0)")
+    assert code == 1
+    # Facet f171 of `export --format text`.
+    assert out == "counterexample: 0:(1,{0:1}) 1:(0,{0:1,1:0}) 2:(0,{0:1,1:0,2:0})\n"
+
+
 def test_obstruct_consensus(capsys):
     code, out, _ = run(
         capsys, "obstruct", "I[bc]", "I[is]", "--gen", "bc", "--n", "2", "--format", "text"

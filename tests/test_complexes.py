@@ -311,17 +311,20 @@ def test_canonical_order_is_facet_key_order(case):
 def test_first_wrongly_colored_facet_in_key_order_is_reported(case):
     n, facets = case
     expected = tuple(range(n + 1))
-    first = next(f for f in sorted(set(facets), key=Facet.key) if f.colors != expected)
+    first = next(
+        f for f in sorted(set(facets), key=Facet.key) if tuple(v.color for v in f) != expected
+    )
+    colors = tuple(v.color for v in first)
     with pytest.raises(ValueError) as info:
         ChromaticComplex(n, facets)
     assert str(info.value) == (
-        f"facet colors {first.colors} do not match dimension {n} (expected colors 0..{n})"
+        f"facet colors {colors} do not match dimension {n} (expected colors 0..{n})"
     )
 
 
 def test_facet_sorts_unordered_vertices_and_refuses_repeats():
     f = Facet([Vertex(2, 5), Vertex(0, 3), Vertex(1, 4)])
-    assert f.colors == (0, 1, 2)
+    assert tuple(v.color for v in f) == (0, 1, 2)
     assert f == Facet([Vertex(0, 3), Vertex(1, 4), Vertex(2, 5)])
     assert hash(f) == hash(Facet([Vertex(0, 3), Vertex(1, 4), Vertex(2, 5)]))
     # A vertex listed twice is a repeated color, not one vertex.

@@ -181,21 +181,21 @@ def test_adversary_obstruction_needs_nontrivial_core():
 
 def test_full_group_case_collapses_to_false():
     for adv in (waitfree(2), from_survivor_sets(2, TWO_OF_THREE)):
-        family = adversary_obstruction_family(2, adv)
+        guarded, cases = adversary_obstruction_family(2, adv)
         full = frozenset({0, 1, 2})
-        assert family.guarded[full] is FALSE
-        assert family.cases[full] is FALSE
+        assert guarded[full] is FALSE
+        assert cases[full] is FALSE
 
 
 def test_two_of_three_singleton_cases_are_guarded():
     adv = from_survivor_sets(2, TWO_OF_THREE)
-    family = adversary_obstruction_family(2, adv)
+    guarded, cases = adversary_obstruction_family(2, adv)
     for a in range(3):
-        guarded = family.guarded[frozenset({a})]
-        assert guarded.kind == "dist"
-        assert guarded.agents == frozenset({a})
+        single = guarded[frozenset({a})]
+        assert single.kind == "dist"
+        assert single.agents == frozenset({a})
         # Larger groups leave no surviving complement, so no nested guard remains.
-        assert all(c.kind != "dist" for c in family.cases[frozenset({a})].children)
+        assert all(c.kind != "dist" for c in cases[frozenset({a})].children)
 
 
 def test_generated_formulas_agree_with_naive_evaluation():
@@ -247,7 +247,7 @@ def test_agreement_outputs_admit_small_fixed_subset():
 
 def test_flat_minimum_view_facets_falsify_their_case():
     for adv in (waitfree(2), from_survivor_sets(2, TWO_OF_THREE)):
-        family = adversary_obstruction_family(2, adv)
+        _, cases = adversary_obstruction_family(2, adv)
         model = apply_action(initial_model(2, [0, 1, 2]), round_operator_action(2, adv, range(3)))
         checked = 0
         for f in model.complex.facets:
@@ -256,7 +256,7 @@ def test_flat_minimum_view_facets_falsify_their_case():
             least = min_view(f)
             if not all(seen_agents(f, a) == least for a in least):
                 continue
-            case = family.cases[frozenset(range(3)) - least]
+            case = cases[frozenset(range(3)) - least]
             assert not model.satisfies(f, case)
             checked += 1
         assert checked > 0
