@@ -12,13 +12,12 @@ Exit codes: 0 affirmative, 1 negative verdict, 2 usage error,
 """
 
 import argparse
-import gc
 import json
 import random
 import sys
 
 from . import adversaries, generators, models, solver, tasks
-from .complexes import facet_texts
+from .complexes import _collector_paused, facet_texts
 from .formulas import ParseError, parse, render
 
 
@@ -255,9 +254,7 @@ def cmd_check(args) -> int:
         }
         _emit(_dump(doc), args.out)
     elif failing:
-        c = model.complex
-        text = " ".join(c.vertices()[u].text() for u in c.rows[failing[0]])
-        _emit([f"counterexample: {text}\n"], args.out)
+        _emit([f"counterexample: {model.complex.facet(failing[0]).text()}\n"], args.out)
     else:
         _emit(["valid\n"], args.out)
     return 1 if failing else 0
@@ -391,11 +388,11 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_collector_paused
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
-    The command runs with the cyclic garbage collector paused, and the
-    collector is put back as it was found when the command ends. A command
+    The command runs with the cyclic garbage collector paused. A command
     builds large data without reference cycles (tuples, JSON dicts and
     lists), holds it until it ends and then drops it, so a collection finds
     nothing to free; loading a document would otherwise set off one after
@@ -403,8 +400,6 @@ def main(argv=None) -> int:
     """
     parser = _make_parser()
     args = parser.parse_args(_joined_inputs(sys.argv[1:] if argv is None else argv))
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         return args.func(args)
     except ParseError as exc:
@@ -416,9 +411,6 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nests too deeply", file=sys.stderr)
         return 2
-    finally:
-        if enabled:
-            gc.enable()
 
 
 if __name__ == "__main__":

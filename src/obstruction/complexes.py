@@ -19,6 +19,8 @@ a product complex takes both orders from its factors' rows instead (see
 `_product_facets`).
 """
 
+import gc
+from functools import wraps
 from marshal import dumps
 from operator import add, itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -125,6 +127,28 @@ class Facet(tuple):
         return f"Facet({self.text()})"
 
 
+def _collector_paused(fn):
+    """`fn`, run with the cyclic garbage collector disabled; the collector is
+    enabled again when `fn` returns or raises. When the collector is already
+    off, `fn` runs as it is.
+
+    For calls that build large data of tuples, lists and dicts without
+    reference cycles: collections set off while it grows would scan it all
+    and free nothing."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
+
 def _key_order(
     vertices: Sequence[Vertex], rows: Sequence[tuple[int, ...]]
 ) -> tuple[list[Vertex], list[int], list[tuple[int, ...]]]:
@@ -154,7 +178,8 @@ class ChromaticComplex:
     Rows are distinct and sorted, which is `Facet.key` order, so facet ids
     are stable identifiers for export and reporting. The `Facet` tuples
     (`facets`), the vertex-to-position map `vertex_id` and the facet-to-id
-    map behind `index` and `in` are views, each built on first use.
+    map behind `index` and `in` are views, each built on first use; `facet`
+    reads one facet without building the view.
     """
 
     __slots__ = ("n", "rows", "_vertices", "_facets", "_vertex_id", "_pos")
@@ -211,6 +236,12 @@ class ChromaticComplex:
             vertex = self._vertices.__getitem__
             self._facets = tuple([tuple.__new__(Facet, map(vertex, row)) for row in self.rows])
         return self._facets
+
+    def facet(self, i: int) -> Facet:
+        """Facet `i`, from the view when it is built, else from its row."""
+        if self._facets is not None:
+            return self._facets[i]
+        return tuple.__new__(Facet, map(self._vertices.__getitem__, self.rows[i]))
 
     @property
     def vertex_id(self) -> dict[Vertex, int]:

@@ -184,12 +184,11 @@ class SimplicialModel:
     def validity(self, phi: Formula) -> Verdict:
         """Valid, or the first falsifying facet in canonical order."""
         first = self._failing_ids(phi, 1)
-        return Verdict(self.complex.facets[first[0]] if first else None)
+        return Verdict(self.complex.facet(first[0]) if first else None)
 
     def counterexamples(self, phi: Formula, cap: int = 10) -> list[Facet]:
         """Up to `cap` falsifying facets, in canonical order."""
-        facets = self.complex.facets
-        return [facets[i] for i in self._failing_ids(phi, cap)]
+        return list(map(self.complex.facet, self._failing_ids(phi, cap)))
 
 
 def _atom_masks(inputs: tuple[tuple[int, ...], ...]) -> dict[tuple[int, int], int]:
@@ -305,7 +304,7 @@ def _morphism_images(
     for i, j in enumerate(images):
         if j is None or target.inputs[j] != source.inputs[i]:
             what = "maps outside the target complex" if j is None else "changes its labeling"
-            return f"facet {source.complex.facets[i].text()} {what}", images
+            return f"facet {source.complex.facet(i).text()} {what}", images
     return None, images
 
 

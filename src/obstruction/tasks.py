@@ -25,6 +25,7 @@ from .complexes import (
     Vertex,
     complex_to_json,
     complex_from_json,
+    _collector_paused,
     _key_order,
     _json_field,
     _product_facets,
@@ -89,6 +90,7 @@ def initial_model(n: int, inputs: Iterable[int]) -> SimplicialModel:
 # -- protocol action models ------------------------------------------------
 
 
+@_collector_paused
 def _view_action(n: int, vectors, inputs: Iterable[int], name: str) -> ActionModel:
     """One action facet per input facet and view vector, guarded by the input
     facet's pin; the vectors are distinct.
@@ -175,6 +177,7 @@ def binary_consensus_action(n: int) -> ActionModel:
     return ActionModel(decisions, pre, "bc")
 
 
+@_collector_paused
 def set_agreement_action(n: int, k: int, values: Iterable[int]) -> ActionModel:
     """Decision vectors over at most k distinct values, each an input somewhere."""
     if not 1 <= k <= n + 1:
@@ -201,6 +204,7 @@ def decide_own_input_action(n: int, values: Iterable[int]) -> ActionModel:
 # -- product update ----------------------------------------------------------
 
 
+@_collector_paused
 def apply_action(model: SimplicialModel, action: ActionModel) -> SimplicialModel:
     """The product update: keep each (input, action) facet pair whose input
     satisfies the action's precondition, asking once per distinct precondition."""
@@ -209,11 +213,13 @@ def apply_action(model: SimplicialModel, action: ActionModel) -> SimplicialModel
     groups: dict[Formula, list[int]] = {}
     for j, pre in enumerate(action.pre):
         groups.setdefault(pre, []).append(j)
+
+    def admitted(x) -> list[int]:
+        """The ids of the action facets whose preconditions x satisfies."""
+        return [j for pre, ys in groups.items() if model.satisfies(x, pre) for j in ys]
+
     rows, vertices = _product_facets(model.complex, action.complex, (
-        (i, ys)
-        for i, x in enumerate(model.complex.facets)
-        for pre, ys in groups.items()
-        if model.satisfies(x, pre)
+        (i, ys) for i, ys in enumerate(map(admitted, model.complex.facets)) if ys
     ))
     if not rows:
         raise ValueError("empty product update: preconditions exclude every pair")

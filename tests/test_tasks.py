@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -11,7 +12,11 @@ from obstruction.complexes import (
     complex_to_json,
 )
 from obstruction.formulas import FALSE, ParseError, render
-from obstruction.generators import adversary_obstruction, verify_obstruction
+from obstruction.generators import (
+    adversary_obstruction,
+    verify_obstruction,
+    waitfree_kset_obstruction,
+)
 from obstruction.tasks import (
     ActionModel,
     _view_action,
@@ -615,11 +620,88 @@ def test_rows_are_sorted_distinct_vertex_ids_of_the_facets(name):
     assert len(c) == len(c.rows)
 
 
+@pytest.mark.parametrize("name", sorted(ROW_BUILDERS))
+def test_facet_is_the_views_facet_with_or_without_the_view(name):
+    c = ROW_BUILDERS[name]()
+    bare = ChromaticComplex(c.n, c.rows, c.vertices())  # no view yet
+    from_rows = [bare.facet(i) for i in range(len(bare))]
+    assert bare._facets is None
+    assert from_rows == list(c.facets) and all(type(f) is Facet for f in from_rows)
+    assert all(c.facet(i) is f for i, f in enumerate(c.facets))
+
+
 def test_product_and_refutation_build_no_facet_views():
     initial = initial_model(2, range(3))
     task = apply_action(initial, set_agreement_action(2, 1, range(3)))
     protocol = apply_action(initial, round_operator_action(2, waitfree(2), range(3)))
     report = verify_obstruction(task, protocol, adversary_obstruction(2, waitfree(2)))
     assert report.task_verdict.is_valid and report.is_obstruction
-    for c in (task.complex, protocol.complex):
+    # A task the formula fails on reports its first failing facet alone.
+    failing = apply_action(initial, set_agreement_action(2, 2, range(3)))
+    report = verify_obstruction(failing, protocol, waitfree_kset_obstruction(2, 1))
+    verdict = report.task_verdict
+    assert verdict.counterexample == failing.complex.facet(47)
+    assert verdict.counterexample.text() == "0:(0,1) 1:(1,0) 2:(2,0)"
+    for c in (task.complex, protocol.complex, failing.complex):
         assert c._facets is None and c._vertex_id is None and c._pos is None
+
+
+# -- the collector pause ---------------------------------------------------------
+
+
+def _waitfree_product():
+    return apply_action(initial_model(2, range(3)), round_operator_action(2, waitfree(2), range(3)))
+
+
+def test_product_build_sets_off_no_collection():
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()  # start from empty generation counts
+    gc.callbacks.append(hook)
+    try:
+        _waitfree_product()
+    finally:
+        gc.callbacks.remove(hook)
+        (gc.enable if was else gc.disable)()
+    assert starts == []
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_builders_leave_the_collector_as_they_found_it(enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        _waitfree_product()
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            apply_action(initial_model(1, (0, 1)), binary_consensus_action(2))
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="out of range"):
+            set_agreement_action(2, 4, range(3))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_products_and_actions_leave_no_cyclic_garbage():
+    # The pause is safe only because construction makes no reference cycles.
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        built = [
+            _waitfree_product(),
+            apply_action(initial_model(2, range(3)), set_agreement_action(2, 2, range(3))),
+            round_operator_action(2, waitfree(2), range(3)),
+            set_agreement_action(2, 2, range(3)),
+        ]
+        del built
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if was else gc.disable)()
