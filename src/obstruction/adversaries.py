@@ -11,6 +11,13 @@ from typing import Iterable
 from .complexes import _json_field
 
 
+def subsets(pool: Iterable[int], sizes: Iterable[int]) -> list[frozenset[int]]:
+    """The subsets of `pool` with each of the given sizes, in the order the
+    sizes are given, and lexicographic within a size."""
+    ordered = sorted(pool)
+    return [frozenset(c) for size in sizes for c in combinations(ordered, size)]
+
+
 @dataclass(frozen=True)
 class Adversary:
     n: int
@@ -25,13 +32,10 @@ class Adversary:
 
     def cores(self) -> frozenset[frozenset[int]]:
         """All minimal process sets that intersect every survivor set."""
-        agents = range(self.n + 1)
-        hitting = []
-        for size in range(1, self.n + 2):
-            for combo in combinations(agents, size):
-                c = frozenset(combo)
-                if all(c & s for s in self.survivors):
-                    hitting.append(c)
+        hitting = [
+            c for c in subsets(range(self.n + 1), range(1, self.n + 2))
+            if all(c & s for s in self.survivors)
+        ]
         return frozenset(c for c in hitting if not any(h < c for h in hitting))
 
     def csize(self) -> int:

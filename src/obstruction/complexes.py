@@ -10,13 +10,14 @@ Tuple order compares frozenset views by inclusion, so vertices and facets are
 never sorted by their natural order. A complex is stored as its distinct
 vertices in `Vertex.key` order and its rows: per facet, the tuple of its
 vertices' positions in color order, the rows sorted, which is `Facet.key`
-order. Every builder hands `ChromaticComplex` such rows, and the complex
-checks their colors; its `Facet` tuples, `vertex_id` and `index` are views
-built on first use. `_key_order` ranks numbered vertices once by `Vertex.key`
-and sorts the facets as tuples of integer ranks; the view-action builder,
-the JSON decoder and `ChromaticComplex` over `Facet`s all go through it, and
-a product complex takes both orders from its factors' rows instead (see
-`_product_facets`).
+order. `ChromaticComplex` is built from exactly that, `(n, rows, vertices)`,
+and checks the rows' colors; its `Facet` tuples, `vertex_id` and `index` are
+views built on first use. Builders put their rows in order themselves.
+`_key_order` ranks numbered vertices once by `Vertex.key` and sorts the
+facets as tuples of integer ranks; its two callers are the view-action
+builder and the JSON decoder. A product complex takes both orders from its
+factors' rows instead (see `_product_facets`), and a task complex filters
+the rows of an input complex.
 """
 
 import gc
@@ -173,7 +174,8 @@ def _key_order(
 class ChromaticComplex:
     """A pure chromatic complex of dimension n, stored as its distinct
     vertices in `Vertex.key` order (`vertices()`) and `rows`: per facet id,
-    the tuple of that facet's vertex positions, in color order.
+    the tuple of that facet's vertex positions, in color order. It is built
+    from these two alone, already in order; the constructor checks colors.
 
     Rows are distinct and sorted, which is `Facet.key` order, so facet ids
     are stable identifiers for export and reporting. The `Facet` tuples
@@ -184,23 +186,14 @@ class ChromaticComplex:
 
     __slots__ = ("n", "rows", "_vertices", "_facets", "_vertex_id", "_pos")
 
-    def __init__(
-        self, n: int, facets: Iterable, vertices: Sequence[Vertex] | None = None
-    ):
-        """`facets` are `Facet`s in any order, maybe repeated, or, when
-        `vertices` (distinct, in `Vertex.key` order) is given, the rows over
-        them: distinct, sorted, and using every vertex. Either way every
-        facet is checked to hold the colors 0..n."""
+    def __init__(self, n: int, rows: Iterable[tuple[int, ...]], vertices: Sequence[Vertex]):
+        """`vertices` are distinct and in `Vertex.key` order; `rows` are the
+        facets over them, each the tuple of its vertices' positions in color
+        order, distinct, sorted, and using every vertex. Every row is checked
+        to hold the colors 0..n."""
         if n < 0:
             raise ValueError("dimension must be nonnegative")
-        if vertices is None:
-            unique = set(facets)
-            distinct = list(set().union(*unique))
-            number = {v: i for i, v in enumerate(distinct)}
-            vertices, _, facets = _key_order(
-                distinct, [tuple(map(number.__getitem__, f)) for f in unique]
-            )
-        rows = list(facets)
+        rows = list(rows)
         if not rows:
             raise ValueError("a complex needs at least one facet")
         # Vertices of color a fill column a exactly when every facet holds

@@ -15,7 +15,8 @@ Text grammar (used by :func:`parse` and :func:`render`)::
 Agent ids `a` are nonnegative integers; input values `v` are integers and
 may be negative. Prefix operators bind tightest, then "&", then "|"; the
 binary operators associate to the left and are kept flattened, so rendering
-and parsing are mutually inverse.
+and parsing are mutually inverse, except on `C`/`D` over an empty agent
+group: `render` writes it as `C[{}]`/`D[{}]`, which `parse` refuses.
 """
 
 import re

@@ -10,10 +10,9 @@ adversary, restricted to groups of at most k agents.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterable, TypeVar
 
-from .adversaries import Adversary, waitfree
+from .adversaries import Adversary, subsets, waitfree
 from .formulas import (
     FALSE,
     Formula,
@@ -54,14 +53,6 @@ def binary_consensus_obstruction(n: int) -> Formula:
     )
 
 
-def _subsets_of(pool: Iterable[int], sizes: Iterable[int]) -> list[frozenset[int]]:
-    ordered = sorted(pool)
-    out = []
-    for size in sizes:
-        out.extend(frozenset(c) for c in combinations(ordered, size))
-    return out
-
-
 def _values_known(group: frozenset[int], agents: range) -> Formula:
     """Some agent holds an input from `group`."""
     return or_(*(atom(b, j) for j in sorted(group) for b in agents))
@@ -86,11 +77,11 @@ def adversary_obstruction_family(
     everyone = frozenset(agents)
     guarded: dict[frozenset[int], Formula] = {}
     cases: dict[frozenset[int], Formula] = {}
-    for group in _subsets_of(agents, range(n + 1, -1, -1)):
+    for group in subsets(agents, range(n + 1, -1, -1)):
         rest = sorted(everyone - group)
         parts = [not_(atom(a, a)) for a in rest]
         parts += [know(a, _values_known(group, agents)) for a in rest]
-        parts += [guarded[group | extra] for extra in _subsets_of(rest, range(1, len(rest) + 1))]
+        parts += [guarded[group | extra] for extra in subsets(rest, range(1, len(rest) + 1))]
         cases[group] = or_(*[p for p in parts if p is not FALSE])
         if group:
             survives = adversary.contains(everyone - group)
@@ -103,7 +94,7 @@ def _cut(n: int, guarded: dict[frozenset[int], Formula], k: int) -> Formula:
     its guarded case; false parts are dropped."""
     agents = range(n + 1)
     parts = [not_(atom(a, a)) for a in agents]
-    parts += [guarded[g] for g in _subsets_of(agents, range(1, k + 1))]
+    parts += [guarded[g] for g in subsets(agents, range(1, k + 1))]
     return or_(*[p for p in parts if p is not FALSE])
 
 

@@ -331,6 +331,14 @@ def is_action_document(data) -> bool:
     return isinstance(data, dict) and "pre" in data
 
 
+def _atom_pair(pair) -> tuple[int, int]:
+    """An `atoms` [agent, value] pair as a tuple; TypeError unless two plain ints."""
+    pair = tuple(pair)
+    if len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not int:
+        raise TypeError(f"not a pair of ints: {pair!r}")
+    return pair
+
+
 def model_from_json(data: dict) -> SimplicialModel:
     """The model of a document whose `atoms` entry i, when given, records the
     atoms of its i-th listed facet. An action document is refused."""
@@ -348,10 +356,11 @@ def model_from_json(data: dict) -> SimplicialModel:
     if "atoms" in data:
         atoms = data["atoms"]
         try:
-            # Each distinct entry's set is built once.
+            # Each distinct entry's set is built once, of pairs of plain ints:
+            # `true` and `1.0` would compare equal to the value 1.
             keys = list(map(dumps, atoms, repeat(JSON_KEY_VERSION)))
             distinct = dict(zip(keys, atoms))
-            sets = {key: frozenset(map(tuple, entry)) for key, entry in distinct.items()}
+            sets = {key: frozenset(map(_atom_pair, entry)) for key, entry in distinct.items()}
             recorded = list(map(sets.__getitem__, keys))
         except TypeError:
             raise ValueError(

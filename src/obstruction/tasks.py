@@ -15,10 +15,10 @@ saw of the shared memory, and share one builder fed with view vectors:
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product as iter_product
+from itertools import product as iter_product
 from typing import Iterable, Sequence
 
-from .adversaries import Adversary, waitfree
+from .adversaries import Adversary, subsets, waitfree
 from .complexes import (
     ChromaticComplex,
     Facet,
@@ -49,15 +49,6 @@ class ActionModel:
             raise ValueError(
                 f"{len(self.complex)} facets but {len(self.pre)} preconditions"
             )
-
-
-def _nonempty_subsets(items: Sequence[int]) -> list[frozenset[int]]:
-    ordered = sorted(items)
-    subsets = []
-    for size in range(1, len(ordered) + 1):
-        subsets.extend(combinations(ordered, size))
-    subsets.sort()
-    return [frozenset(s) for s in subsets]
 
 
 def pin_formula(facet: Facet) -> Formula:
@@ -133,7 +124,8 @@ def view_vectors(n: int, adversary: Adversary) -> list[tuple[frozenset[int], ...
     if adversary.n != n:
         raise ValueError("adversary dimension mismatch")
     agents = range(n + 1)
-    surviving = [s for s in _nonempty_subsets(agents) if adversary.contains(s)]
+    nonempty = sorted(subsets(agents, range(1, n + 2)), key=sorted)
+    surviving = [s for s in nonempty if adversary.contains(s)]
     options = [[s for s in surviving if a in s] for a in agents]
     vectors: list[tuple[frozenset[int], ...]] = [()]
     for choices in options:
@@ -172,8 +164,10 @@ def round_operator_action(n: int, adversary: Adversary, inputs: Iterable[int]) -
 def binary_consensus_action(n: int) -> ActionModel:
     """Two action points: everyone decides 0, or everyone decides 1."""
     agents = range(n + 1)
-    decisions = ChromaticComplex(n, [Facet(Vertex(a, d) for a in agents) for d in (0, 1)])
-    pre = tuple(or_(*(atom(a, f[0].obs) for a in agents)) for f in decisions.facets)
+    # All 0 and all 1 are the first and last rows of the binary input complex.
+    full = initial_complex(n, (0, 1))
+    decisions = ChromaticComplex(n, [full.rows[0], full.rows[-1]], full.vertices())
+    pre = tuple(or_(*(atom(a, d) for a in agents)) for d in (0, 1))
     return ActionModel(decisions, pre, "bc")
 
 

@@ -1,7 +1,9 @@
 import pytest
 
-from obstruction.complexes import ChromaticComplex, Facet, Vertex
+from obstruction.complexes import Facet, Vertex
 from obstruction.models import induce_model
+
+from helpers import canonical_complex
 
 # A five-facet complex over three agents, used throughout as a small model
 # with a rich relation structure. Values per facet, ordered by color:
@@ -19,7 +21,7 @@ def build_demo_model():
         Facet(Vertex(color, value) for color, value in enumerate(values))
         for values in DEMO_FACETS
     ]
-    return induce_model(ChromaticComplex(2, facets), "obs")
+    return induce_model(canonical_complex(2, facets), "obs")
 
 
 @pytest.fixture

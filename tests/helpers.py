@@ -1,14 +1,14 @@
 """Shared test utilities: facet locators and point-form facet operations
 (shared colors, per-pair product facets, projections, input, view and
-decision values, least views), the memo-free complex decoder, an
-independent naive evaluator, common knowledge reach by search over vertex
-stars, the per-pair product update, the view-action reference over checked
-`Facet`s, point-form morphism and knowledge checks, the pairwise DOT
-export, the plain backtracking reference for the decision-map search,
-ordered set partitions, and direct constructions of what the package
-derives from general code (round view vectors by product-then-filter,
-immediate snapshot vectors from ordered set partitions, the inductive
-wait-free k-agreement obstruction)."""
+decision values, least views), the canonical complex of loose facets, the
+memo-free complex decoder, an independent naive evaluator, common
+knowledge reach by search over vertex stars, the per-pair product update,
+the view-action reference over checked `Facet`s, point-form morphism and
+knowledge checks, the pairwise DOT export, the plain backtracking
+reference for the decision-map search, ordered set partitions, and direct
+constructions of what the package derives from general code (round view
+vectors by product-then-filter, immediate snapshot vectors from ordered set
+partitions, the inductive wait-free k-agreement obstruction)."""
 
 from itertools import combinations, product as iter_product
 
@@ -112,6 +112,17 @@ def protocol_facet(model: SimplicialModel, inputs, seen_sets) -> Facet:
     raise AssertionError(f"no facet with inputs {inputs} and views {seen_sets}")
 
 
+def canonical_complex(n: int, facets) -> ChromaticComplex:
+    """Reference for the canonical order: the complex of `Facet`s given in
+    any order, maybe repeated, with the distinct facets sorted by `Facet.key`
+    and the vertices by `Vertex.key`, handed to the one constructor, which
+    checks their colors."""
+    distinct = sorted(set(facets), key=Facet.key)
+    vertices = sorted({v for f in distinct for v in f}, key=Vertex.key)
+    number = {v: i for i, v in enumerate(vertices)}
+    return ChromaticComplex(n, [tuple(number[v] for v in f) for f in distinct], vertices)
+
+
 def naive_complex_from_json(data) -> tuple[ChromaticComplex, list[int]]:
     """`complex_from_json` without its memo: every vertex entry's fields are
     checked and its observation decoded at each listing."""
@@ -126,7 +137,7 @@ def naive_complex_from_json(data) -> tuple[ChromaticComplex, list[int]]:
         )
         for entry in _json_field(data, "facets", list, "complex document")
     ]
-    c = ChromaticComplex(n, facets)
+    c = canonical_complex(n, facets)
     return c, [c.index(f) for f in facets]
 
 
@@ -216,7 +227,7 @@ def naive_product_update(model: SimplicialModel, action: ActionModel) -> Simplic
         for y, pre in zip(action.complex.facets, action.pre)
         if naive_satisfies(model, x, pre)
     ]
-    return induce_model(ChromaticComplex(model.complex.n, kept), "left")
+    return induce_model(canonical_complex(model.complex.n, kept), "left")
 
 
 def pairwise_dot(complex: ChromaticComplex) -> str:
@@ -253,7 +264,7 @@ def reference_view_action(n: int, vectors, inputs, name: str) -> ActionModel:
             facet = Facet(map(at.__getitem__, vector))
             facets.append(facet)
             pre[facet] = guard
-    complex = ChromaticComplex(n, facets)
+    complex = canonical_complex(n, facets)
     return ActionModel(complex, tuple(map(pre.__getitem__, complex.facets)), name)
 
 

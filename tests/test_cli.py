@@ -445,6 +445,11 @@ def test_missing_file_is_usage_error(capsys):
     assert "error" in err
 
 
+def _one_vertex_doc_with_atom_value(value):
+    # The vertex's input is 1, which `true` and `1.0` compare equal to.
+    return {"n": 0, "facets": [{"vertices": [{"color": 0, "obs": 1}]}], "atoms": [[[0, value]]]}
+
+
 def _demo_doc_with_bad_atoms():
     doc = model_to_json(build_demo_model())
     doc["atoms"] = [[1]]
@@ -459,8 +464,13 @@ def _demo_doc_with_bad_atoms():
         ({"n": 0, "facets": 3}, "malformed complex document: 'facets' must be of type list, got int"),
         (_demo_doc_with_bad_atoms(), "malformed model document: 'atoms' must hold one list"),
         ([1, 2], "malformed complex document: expected an object, got list"),
+        (_one_vertex_doc_with_atom_value(True), "malformed model document: 'atoms' must hold one list"),
+        (_one_vertex_doc_with_atom_value(1.0), "malformed model document: 'atoms' must hold one list"),
     ],
-    ids=["facet-not-object", "n-not-int", "facets-not-list", "bad-atoms", "top-level-list"],
+    ids=[
+        "facet-not-object", "n-not-int", "facets-not-list", "bad-atoms", "top-level-list",
+        "atom-value-true", "atom-value-float",
+    ],
 )
 def test_malformed_model_file_is_usage_error(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ from obstruction.complexes import (
     ChromaticComplex,
     Facet,
     Vertex,
+    _key_order,
     complex_from_json,
     complex_to_json,
     obs_from_json,
@@ -24,6 +25,7 @@ from obstruction.tasks import (
 
 from helpers import (
     assert_checked_facets,
+    canonical_complex,
     cartesian_product,
     facet_with_values,
     product_facet,
@@ -39,7 +41,7 @@ def test_demo_complex_shape(demo_model):
 
 
 def test_zero_dimensional_complex():
-    c = ChromaticComplex(0, [Facet([Vertex(0, 7)])])
+    c = canonical_complex(0, [Facet([Vertex(0, 7)])])
     assert len(c.facets) == 1
     assert c.facets[0][0].obs == 7
 
@@ -52,12 +54,12 @@ def test_duplicate_color_rejected():
 def test_wrong_facet_size_rejected():
     good = Facet([Vertex(0, 0), Vertex(1, 0)])
     with pytest.raises(ValueError, match="do not match dimension"):
-        ChromaticComplex(2, [good])
+        canonical_complex(2, [good])
 
 
 def test_empty_complex_rejected():
     with pytest.raises(ValueError):
-        ChromaticComplex(1, [])
+        canonical_complex(1, [])
 
 
 def test_shared_colors_demo(demo_model):
@@ -78,7 +80,7 @@ def test_shared_colors_disjoint():
 
 
 def _complex_of_values(n, value_rows):
-    return ChromaticComplex(
+    return canonical_complex(
         n,
         [Facet(Vertex(a, row[a]) for a in range(n + 1)) for row in value_rows],
     )
@@ -115,7 +117,7 @@ def test_product_matches_per_pair_product_facet():
     paired = apply_action(initial_model(2, [0, 1]), immediate_snapshot_action(2, [0, 1])).complex
     for c, d in [(inputs, views), (views, decisions), (paired, inputs), (decisions, paired)]:
         p = cartesian_product(c, d)
-        assert p == ChromaticComplex(c.n, [product_facet(x, y) for x in c.facets for y in d.facets])
+        assert p == canonical_complex(c.n, [product_facet(x, y) for x in c.facets for y in d.facets])
         assert len(p.facets) == len(c.facets) * len(d.facets)
         assert_checked_facets(p)
 
@@ -295,15 +297,20 @@ def _facet_lists(draw, bad_colors=False):
 
 
 @settings(deadline=None)
-@given(_facet_lists())
-def test_canonical_order_is_facet_key_order(case):
+@given(_facet_lists(), st.data())
+def test_canonical_order_is_facet_key_order(case, data):
     n, facets = case
-    c = ChromaticComplex(n, facets)
-    assert c.facets == tuple(sorted(set(facets), key=Facet.key))
-    assert [c.index(f) for f in facets] == [c.facets.index(f) for f in facets]
-    vertices = c.vertices()
-    assert vertices == tuple(sorted({v for f in facets for v in f.vertices}, key=Vertex.key))
-    assert c.vertex_id == {v: i for i, v in enumerate(vertices)}
+    distinct = list(dict.fromkeys(facets))
+    shuffled = data.draw(st.permutations(sorted({v for f in distinct for v in f}, key=Vertex.key)))
+    number = {v: i for i, v in enumerate(shuffled)}
+    vertices, order, rows = _key_order(shuffled, [tuple(number[v] for v in f) for f in distinct])
+    assert vertices == sorted(shuffled, key=Vertex.key)
+    assert order == sorted(range(len(distinct)), key=lambda i: distinct[i].key())
+    rank = {v: i for i, v in enumerate(vertices)}
+    assert rows == [tuple(rank[v] for v in distinct[i]) for i in order]
+    c = ChromaticComplex(n, rows, vertices)
+    assert c.facets == tuple(sorted(distinct, key=Facet.key))
+    assert c.vertex_id == rank
 
 
 @settings(deadline=None)
@@ -316,7 +323,7 @@ def test_first_wrongly_colored_facet_in_key_order_is_reported(case):
     )
     colors = tuple(v.color for v in first)
     with pytest.raises(ValueError) as info:
-        ChromaticComplex(n, facets)
+        canonical_complex(n, facets)
     assert str(info.value) == (
         f"facet colors {colors} do not match dimension {n} (expected colors 0..{n})"
     )

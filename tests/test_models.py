@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obstruction.adversaries import from_survivor_sets, waitfree
-from obstruction.complexes import ChromaticComplex, Facet, Vertex, complex_from_json
+from obstruction.complexes import Facet, Vertex, complex_from_json
 from obstruction.formulas import (
     FALSE,
     TRUE,
@@ -40,6 +40,7 @@ from obstruction.tasks import (
 
 from conftest import build_demo_model
 from helpers import (
+    canonical_complex,
     common_reach,
     facet_with_values,
     map_facet,
@@ -61,7 +62,7 @@ def test_labels_read_off_vertices(demo_model):
 
 
 def test_single_facet_label():
-    model = induce_model(ChromaticComplex(0, [Facet([Vertex(0, 7)])]), "obs")
+    model = induce_model(canonical_complex(0, [Facet([Vertex(0, 7)])]), "obs")
     assert model.inputs == ((7,),)
 
 
@@ -368,7 +369,7 @@ def _models_and_formulas(draw):
     values = st.integers(0, 2)
     rows = draw(st.lists(st.tuples(*[values] * (n + 1)), min_size=2, max_size=7))
     facets = [Facet(Vertex(a, v) for a, v in enumerate(row)) for row in rows]
-    model = induce_model(ChromaticComplex(n, facets), "obs")
+    model = induce_model(canonical_complex(n, facets), "obs")
     agents = st.integers(0, n)
     groups = st.just(frozenset()) | st.frozensets(agents, min_size=1)
     leaves = st.just(FALSE) | st.builds(atom, agents, values)
@@ -404,7 +405,7 @@ def test_mask_evaluation_matches_naive_on_random_models(case):
 
 def test_induce_model_rejects_non_integer_inputs():
     view = frozenset({(0, 0)})
-    complex = ChromaticComplex(0, [Facet([Vertex(0, view)])])
+    complex = canonical_complex(0, [Facet([Vertex(0, view)])])
     with pytest.raises(ValueError, match="not an integer"):
         induce_model(complex, "obs")
     with pytest.raises(ValueError, match="unknown projection"):
@@ -413,7 +414,7 @@ def test_induce_model_rejects_non_integer_inputs():
 
 def test_induce_model_names_the_first_bad_vertex_in_facet_order():
     # Facet order puts 1:{1:0} first, while Vertex.key order puts 0:{0:1} first.
-    complex = ChromaticComplex(1, [
+    complex = canonical_complex(1, [
         Facet([Vertex(0, frozenset({(0, 1)})), Vertex(1, 1)]),
         Facet([Vertex(0, 0), Vertex(1, frozenset({(1, 0)}))]),
     ])
@@ -450,7 +451,7 @@ def test_color_change_is_not_a_morphism():
 def test_facet_image_outside_the_target_is_not_a_morphism():
     model = initial_model(1, [0, 1])
     diagonal = induce_model(
-        ChromaticComplex(1, [f for f in model.complex.facets if f[0].obs == f[1].obs]), "obs"
+        canonical_complex(1, [f for f in model.complex.facets if f[0].obs == f[1].obs]), "obs"
     )
     identity = {v: v for v in model.complex.vertices()}
     # Every vertex has an image in the target; the facet 0:0 1:1 does not.

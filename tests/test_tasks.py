@@ -36,6 +36,7 @@ from obstruction.tasks import (
 
 from helpers import (
     assert_checked_facets,
+    canonical_complex,
     facet_with_values,
     input_of,
     min_view,
@@ -540,7 +541,7 @@ FACTOR_ORDER_CASES = {
 def test_product_in_factor_id_order_is_canonical(name):
     n, inputs, build = FACTOR_ORDER_CASES[name]
     p = apply_action(initial_model(n, inputs), build()).complex
-    general = ChromaticComplex(n, list(p.facets))
+    general = canonical_complex(n, list(p.facets))
     assert p.facets == general.facets
     assert p.vertices() == general.vertices()
     assert list(p.vertex_id.items()) == list(general.vertex_id.items())
@@ -595,7 +596,7 @@ def _decoded_respelled():
 
 def _from_facets():
     facets = list(apply_action(initial_model(2, (0, 1)), binary_consensus_action(2)).complex.facets)
-    return ChromaticComplex(2, facets[::-1] + facets[:3])
+    return canonical_complex(2, facets[::-1] + facets[:3])
 
 
 ROW_BUILDERS = {
