@@ -7,6 +7,10 @@ solve and obstruct commands a bare action token is shorthand for its
 product. A round protocol names its adversary in its spec, and
 `obstruct --gen adversary` reads the adversary from there.
 
+A spec is resolved in one place: `_token` reads its action token, `_inputs`
+its default inputs, `_action` builds its action and `_products` applies the
+actions, so that both products of solve and obstruct share one initial model.
+
 Exit codes: 0 affirmative, 1 negative verdict, 2 usage error,
 3 resource limit.
 """
@@ -52,22 +56,7 @@ def _joined_inputs(argv: list[str]) -> list[str]:
     return joined
 
 
-def _load_adversary(token: str, n: int) -> adversaries.Adversary:
-    if token == "waitfree":
-        return adversaries.waitfree(n)
-    try:
-        with open(token) as handle:
-            adv = adversaries.adversary_from_json(json.load(handle))
-    except OSError as exc:
-        raise ValueError(f"cannot read adversary file {token!r}: {exc}")
-    except ValueError as exc:
-        raise ValueError(f"bad adversary file {token!r}: {exc}")
-    if adv.n != n:
-        raise ValueError(f"adversary file {token!r} is for n={adv.n}, not n={n}")
-    return adv
-
-
-def _action_tokens(spec: str) -> str | None:
+def _token(spec: str) -> str | None:
     """The action token inside a spec, or None for the bare initial model."""
     if spec == "initial":
         return None
@@ -76,19 +65,32 @@ def _action_tokens(spec: str) -> str | None:
     return spec
 
 
-def _default_inputs(tokens, n: int) -> tuple[int, ...]:
-    relevant = [t for t in tokens if t is not None]
-    if any(t.startswith(("sa", "round")) for t in relevant):
-        return tuple(range(n + 1))
+def _inputs(args, specs) -> tuple[int, ...]:
+    """`--inputs`, else 0..n if a spec's token starts with `sa` or `round`, else 0, 1."""
+    if args.inputs:
+        return args.inputs
+    if any((_token(spec) or "").startswith(("sa", "round")) for spec in specs):
+        return tuple(range(args.n + 1))
     return (0, 1)
 
 
-def _round_adversary(spec: str, n: int) -> adversaries.Adversary:
+def _adversary(spec: str, n: int) -> adversaries.Adversary:
     """The adversary of a `round:FILE` or `round:waitfree` spec, bare or in I[...]."""
-    token = _action_tokens(spec)
-    if token is None or not token.startswith("round:"):
+    head, colon, name = (_token(spec) or "").partition(":")
+    if head != "round" or not colon:
         raise ValueError(f"{spec!r} names no adversary: use round:FILE or round:waitfree")
-    return _load_adversary(token.split(":", 1)[1], n)
+    if name == "waitfree":
+        return adversaries.waitfree(n)
+    try:
+        with open(name) as handle:
+            adv = adversaries.adversary_from_json(json.load(handle))
+    except OSError as exc:
+        raise ValueError(f"cannot read adversary file {name!r}: {exc}")
+    except ValueError as exc:
+        raise ValueError(f"bad adversary file {name!r}: {exc}")
+    if adv.n != n:
+        raise ValueError(f"adversary file {name!r} is for n={adv.n}, not n={n}")
+    return adv
 
 
 def _bound(token: str, name: str, missing: str) -> int | None:
@@ -106,7 +108,7 @@ def _bound(token: str, name: str, missing: str) -> int | None:
         raise ValueError(f"bad agreement bound in {token!r}")
 
 
-def _build_action(token: str, n: int, inputs) -> tasks.ActionModel:
+def _action(token: str, n: int, inputs) -> tasks.ActionModel:
     if token == "is":
         return tasks.immediate_snapshot_action(n, inputs)
     if token == "bc":
@@ -116,24 +118,26 @@ def _build_action(token: str, n: int, inputs) -> tasks.ActionModel:
     k = _bound(token, "sa", f"spec {token!r} needs an agreement bound: sa:K")
     if k is not None:
         return tasks.set_agreement_action(n, k, inputs)
-    if token.startswith("round"):
-        return tasks.round_operator_action(n, _round_adversary(token, n), inputs)
+    if token.partition(":")[0] == "round":
+        return tasks.round_operator_action(n, _adversary(token, n), inputs)
     raise ValueError(f"unknown model spec {token!r}")
 
 
-def _product_model(spec: str, n: int, inputs) -> models.SimplicialModel:
-    token = _action_tokens(spec)
-    if token is None:
-        raise ValueError(f"spec {spec!r} does not name a product model")
-    action = _build_action(token, n, inputs)
-    return tasks.apply_action(tasks.initial_model(n, inputs), action)
-
-
-def _product_models(args, first: str, second: str) -> list[models.SimplicialModel]:
-    """The product models of two specs, in order, over shared default inputs."""
-    tokens = [_action_tokens(first), _action_tokens(second)]
-    inputs = args.inputs or _default_inputs(tokens, args.n)
-    return [_product_model(spec, args.n, inputs) for spec in (first, second)]
+def _products(args, *specs: str) -> list[models.SimplicialModel]:
+    """Each spec's action applied to one initial model, in order; a spec is
+    checked and its action built before its product."""
+    inputs = _inputs(args, specs)
+    initial = None
+    products = []
+    for spec in specs:
+        token = _token(spec)
+        if token is None:
+            raise ValueError(f"spec {spec!r} does not name a product model")
+        action = _action(token, args.n, inputs)
+        if initial is None:
+            initial = tasks.initial_model(args.n, inputs)
+        products.append(tasks.apply_action(initial, action))
+    return products
 
 
 def _emit(pieces: list[str], out: str | None) -> None:
@@ -196,47 +200,41 @@ def _dump(doc) -> list[str]:
     return pieces
 
 
-def _model_text(model: models.SimplicialModel) -> str:
-    c = model.complex
-    lines = [f"n={c.n} facets={len(c)}"]
-    atom_texts = {
-        vector: " ".join(f"input({a},{v})" for a, v in enumerate(vector))
-        for vector in set(model.inputs)
-    }
-    for i, (text, vector) in enumerate(zip(facet_texts(c), model.inputs)):
-        lines.append(f"f{i}: {text}  [{atom_texts[vector]}]")
-    return "\n".join(lines) + "\n"
-
-
-def _action_text(action: tasks.ActionModel) -> str:
-    c = action.complex
-    lines = [f"n={c.n} name={action.name} facets={len(c)}"]
-    for i, (text, phi) in enumerate(zip(facet_texts(c), action.pre)):
-        lines.append(f"f{i}: {text}  pre: {render(phi)}")
-    return "\n".join(lines) + "\n"
-
-
 def _write_built(built, fmt: str, out: str | None) -> None:
-    """Write a model or an action model as json, dot or text."""
+    """Write a model or an action model as json, dot or text; a text line per
+    facet carries the facet's input atoms or its precondition."""
+    c = built.complex
     is_model = isinstance(built, models.SimplicialModel)
     if fmt == "json":
         doc = models.model_to_json(built) if is_model else tasks.action_to_json(built)
         _emit(_dump(doc), out)
     elif fmt == "dot":
-        _emit([models.complex_to_dot(built.complex)], out)
+        _emit([models.complex_to_dot(c)], out)
     else:
-        _emit([_model_text(built) if is_model else _action_text(built)], out)
+        if is_model:
+            head = f"n={c.n} facets={len(c)}"
+            atoms = {
+                vec: " ".join(f"input({a},{v})" for a, v in enumerate(vec))
+                for vec in set(built.inputs)
+            }
+            labels = [f"[{atoms[vec]}]" for vec in built.inputs]
+        else:
+            head = f"n={c.n} name={built.name} facets={len(c)}"
+            labels = [f"pre: {render(phi)}" for phi in built.pre]
+        numbered = enumerate(zip(facet_texts(c), labels))
+        lines = [f"f{i}: {text}  {label}" for i, (text, label) in numbered]
+        _emit(["\n".join([head, *lines]) + "\n"], out)
 
 
 def cmd_build(args) -> int:
-    token = _action_tokens(args.spec)
-    inputs = args.inputs or _default_inputs([token], args.n)
+    token = _token(args.spec)
+    inputs = _inputs(args, [args.spec])
     if token is None:
         built = tasks.initial_model(args.n, inputs)
     elif args.spec.startswith("I["):
-        built = _product_model(args.spec, args.n, inputs)
+        [built] = _products(args, args.spec)
     else:
-        built = _build_action(token, args.n, inputs)
+        built = _action(token, args.n, inputs)
     _write_built(built, args.format, args.out)
     return 0
 
@@ -267,11 +265,11 @@ def cmd_obstruct(args) -> int:
     elif k is not None:
         phi = generators.waitfree_kset_obstruction(args.n, k)
     elif args.gen == "adversary":
-        phi = generators.adversary_obstruction(args.n, _round_adversary(args.protocol, args.n))
+        phi = generators.adversary_obstruction(args.n, _adversary(args.protocol, args.n))
     else:
         raise ValueError(f"unknown generator {args.gen!r}")
 
-    task, protocol = _product_models(args, args.task, args.protocol)
+    task, protocol = _products(args, args.task, args.protocol)
     report = generators.verify_obstruction(task, protocol, phi)
     doc = generators.report_to_json(report)
     if args.format == "json":
@@ -289,7 +287,7 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    protocol, task = _product_models(args, args.protocol, args.task)
+    protocol, task = _products(args, args.protocol, args.task)
     result = solver.find_morphism(protocol, task, args.budget)
     print(f"status: {result.status.value}")
     print(f"explored: {result.explored}")

@@ -345,14 +345,10 @@ def model_from_json(data: dict) -> SimplicialModel:
     if is_action_document(data):
         raise ValueError("expected a model document, got an action document (it has 'pre')")
     complex, ids = complex_from_json(data)
-    kinds = {"pair" if isinstance(v.obs, tuple) else "plain" for v in complex.vertices()}
-    if kinds == {"pair"}:
-        projection = "left"
-    elif kinds == {"plain"}:
-        projection = "obs"
-    else:
-        raise ValueError("mixed observation kinds; cannot infer input projection")
-    model = induce_model(complex, projection)
+    # The first vertex's kind picks the projection; `induce_model` checks
+    # every vertex against it.
+    pairs = isinstance(complex.vertices()[0].obs, tuple)
+    model = induce_model(complex, "left" if pairs else "obs")
     if "atoms" in data:
         atoms = data["atoms"]
         try:

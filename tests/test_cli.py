@@ -80,9 +80,11 @@ def test_build_dot_and_text_formats(capsys):
 
 
 def test_build_unknown_spec_is_usage_error(capsys):
-    code, _, err = run(capsys, "build", "mystery", "--n", "1")
-    assert code == 2
-    assert "unknown model spec" in err
+    # A round spec is `round` itself or `round:...`, not any word starting so.
+    for spec in ("mystery", "roundabout"):
+        code, _, err = run(capsys, "build", spec, "--n", "1")
+        assert code == 2
+        assert f"unknown model spec {spec!r}" in err
 
 
 def test_build_round_requires_adversary(capsys):
@@ -276,6 +278,36 @@ def test_obstruct_bad_generator_bound_builds_no_model(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: bad agreement bound in 'waitfree:x'\n"
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["solve", "I[is]", "I[bc]", "--n", "1"], 1),
+        (["obstruct", "I[bc]", "I[is]", "--gen", "bc", "--n", "2"], 0),
+    ],
+    ids=["solve", "obstruct"],
+)
+def test_both_products_share_one_initial_model(capsys, monkeypatch, argv, code):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return initial_model(*args)
+
+    monkeypatch.setattr("obstruction.tasks.initial_model", counted)
+    exit_code, _, err = run(capsys, *argv)
+    assert (exit_code, err, len(calls)) == (code, "", 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "initial", "I[bc]", "--n", "1"],
+    ["solve", "I[bc]", "initial", "--n", "1"],
+])
+def test_a_bare_initial_spec_names_no_product(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: spec 'initial' does not name a product model\n"
 
 
 def test_solve_trivial_task(tmp_path, capsys):
@@ -481,6 +513,31 @@ def test_malformed_model_file_is_usage_error(tmp_path, capsys, doc, message):
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (
+            {"n": -1, "facets": [{"vertices": [{"color": 0, "obs": 0}]}]},
+            "dimension must be nonnegative",
+        ),
+        (
+            # Plain and pair observations: the first vertex is plain, so the
+            # pair vertex has no integer input.
+            {"n": 1, "facets": [
+                {"vertices": [{"color": 0, "obs": 0}, {"color": 1, "obs": [0, 1]}]},
+            ]},
+            "input of vertex 1:(0,1) is not an integer value",
+        ),
+    ],
+    ids=["negative-dimension", "mixed-observation-kinds"],
+)
+def test_export_refuses_a_malformed_model(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "export", str(path), "--format", "text")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_export_refuses_a_facet_listing_a_vertex_twice(tmp_path, capsys):
     path = tmp_path / "repeat.json"
     entry = {"color": 0, "obs": 0}
@@ -530,6 +587,26 @@ def test_malformed_adversary_file_is_usage_error(tmp_path, capsys, doc, message)
     assert code == 2
     assert out == ""
     assert err == f"error: bad adversary file {str(path)!r}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (None, "cannot read adversary file {path!r}: [Errno 2] No such file or directory"),
+        (
+            {"n": 3, "survivor_sets": [[0, 1], [2, 3]]},
+            "adversary file {path!r} is for n=3, not n=2",
+        ),
+    ],
+    ids=["missing", "other-dimension"],
+)
+def test_unusable_adversary_file_is_usage_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "adv.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "build", f"round:{path}", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message.format(path=str(path)))
 
 
 def _action_doc(**fields):

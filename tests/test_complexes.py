@@ -245,6 +245,11 @@ def test_obs_key_orders_mixed_kinds():
     assert ordered == [0, 3, frozenset({(0, 1)}), (1, 2)]
 
 
+def test_obs_key_refuses_a_non_observation():
+    with pytest.raises(TypeError, match=r"^not an observation: 1\.5$"):
+        obs_key(1.5)
+
+
 def test_facets_are_canonically_ordered(demo_model):
     keys = [f.key() for f in demo_model.complex.facets]
     assert keys == sorted(keys)

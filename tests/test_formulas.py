@@ -256,6 +256,11 @@ def test_node_facts_match_recursive_definitions(seed, depth):
         assert phi.positive == _plain_positive(phi)
 
 
+def test_connectives_take_only_formulas():
+    with pytest.raises(TypeError, match="^expected a Formula, got 1$"):
+        or_(1)
+
+
 @pytest.mark.parametrize(
     "build",
     [

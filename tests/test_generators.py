@@ -117,6 +117,11 @@ def test_verify_obstruction_rejects_cap_below_one(cap):
         verify_obstruction(model, model, FALSE, cap=cap)
 
 
+def test_verify_obstruction_rejects_models_of_different_dimensions():
+    with pytest.raises(ValueError, match="^task and protocol must share the agent set$"):
+        verify_obstruction(initial_model(1, [0, 1]), initial_model(2, [0, 1]), FALSE)
+
+
 # -- wait-free k-agreement obstruction -------------------------------------------
 
 
@@ -177,6 +182,11 @@ def test_generated_formulas_never_quantify_over_nobody():
 def test_adversary_obstruction_needs_nontrivial_core():
     with pytest.raises(ValueError, match="core size"):
         adversary_obstruction(2, from_survivor_sets(2, [{0, 1, 2}]))
+
+
+def test_adversary_obstruction_family_rejects_another_dimension():
+    with pytest.raises(ValueError, match="^adversary dimension mismatch$"):
+        adversary_obstruction_family(2, waitfree(3))
 
 
 def test_full_group_case_collapses_to_false():

@@ -21,6 +21,7 @@ from obstruction.formulas import (
 from obstruction.generators import adversary_obstruction
 from obstruction.models import (
     BLOCK_ID_CUTOVER,
+    SimplicialModel,
     _atom_masks,
     complex_to_dot,
     induce_model,
@@ -33,6 +34,7 @@ from obstruction.tasks import (
     apply_action,
     binary_consensus_action,
     immediate_snapshot_action,
+    initial_complex,
     initial_model,
     pin_formula,
     round_operator_action,
@@ -420,6 +422,16 @@ def test_induce_model_names_the_first_bad_vertex_in_facet_order():
     ])
     with pytest.raises(ValueError, match=r"^input of vertex 1:\{1:0\} is not an integer value$"):
         induce_model(complex, "obs")
+
+
+def test_induce_model_left_needs_product_vertices():
+    with pytest.raises(ValueError, match="^vertex 0:0 is not a product vertex$"):
+        induce_model(initial_complex(1, (0, 1)), "left")
+
+
+def test_model_needs_one_input_vector_per_facet():
+    with pytest.raises(ValueError, match="^one input vector per facet required$"):
+        SimplicialModel(initial_complex(1, (0, 1)), ())
 
 
 def test_identity_is_a_morphism(demo_model):

@@ -209,6 +209,11 @@ def test_view_vectors_require_survival():
     assert view_vectors(1, adv) == [(frozenset({0, 1}), frozenset({0, 1}))]
 
 
+def test_view_vectors_reject_another_dimension():
+    with pytest.raises(ValueError, match="^adversary dimension mismatch$"):
+        view_vectors(2, waitfree(3))
+
+
 def test_round_operator_equals_snapshot_for_two_agents():
     snapshot = apply_action(
         initial_model(1, [0, 1]), immediate_snapshot_action(1, [0, 1])
@@ -522,6 +527,11 @@ def test_action_json_requires_preconditions():
     del doc["pre"]
     with pytest.raises(ValueError, match="preconditions"):
         action_from_json(doc)
+
+
+def test_action_model_needs_one_precondition_per_facet():
+    with pytest.raises(ValueError, match="^4 facets but 0 preconditions$"):
+        ActionModel(initial_complex(1, (0, 1)), (), "x")
 
 
 # -- factor-id order ------------------------------------------------------------
