@@ -10,6 +10,10 @@ product. A round protocol names its adversary in its spec, and
 A spec is resolved in one place: `_token` reads its action token, `_inputs`
 its default inputs, `_action` builds its action and `_products` applies the
 actions, so that both products of solve and obstruct share one initial model.
+One writer, `_write_built`, writes model and action documents in every
+format; its JSON is `json.dumps(doc, indent=2)` byte for byte, written from
+the complex's rows, and the small documents (check results, obstruction
+reports, solve witnesses) go through `json.dumps` itself.
 
 Exit codes: 0 affirmative, 1 negative verdict, 2 usage error,
 3 resource limit.
@@ -21,7 +25,7 @@ import random
 import sys
 
 from . import adversaries, generators, models, solver, tasks
-from .complexes import _collector_paused, facet_texts
+from .complexes import _collector_paused, complex_to_json, facet_texts, indented_json
 from .formulas import ParseError, parse, render
 
 
@@ -108,7 +112,8 @@ def _bound(token: str, name: str, missing: str) -> int | None:
         raise ValueError(f"bad agreement bound in {token!r}")
 
 
-def _action(token: str, n: int, inputs) -> tasks.ActionModel:
+def _action(token: str, n: int, inputs, adversary=None) -> tasks.ActionModel:
+    """The action of `token`; `adversary`, when given, is a round token's, already read."""
     if token == "is":
         return tasks.immediate_snapshot_action(n, inputs)
     if token == "bc":
@@ -119,13 +124,14 @@ def _action(token: str, n: int, inputs) -> tasks.ActionModel:
     if k is not None:
         return tasks.set_agreement_action(n, k, inputs)
     if token.partition(":")[0] == "round":
-        return tasks.round_operator_action(n, _adversary(token, n), inputs)
+        return tasks.round_operator_action(n, adversary or _adversary(token, n), inputs)
     raise ValueError(f"unknown model spec {token!r}")
 
 
-def _products(args, *specs: str) -> list[models.SimplicialModel]:
+def _products(args, *specs: str, read=None) -> list[models.SimplicialModel]:
     """Each spec's action applied to one initial model, in order; a spec is
-    checked and its action built before its product."""
+    checked and its action built before its product. `read` maps a round
+    token to its adversary when the command has read it already."""
     inputs = _inputs(args, specs)
     initial = None
     products = []
@@ -133,7 +139,7 @@ def _products(args, *specs: str) -> list[models.SimplicialModel]:
         token = _token(spec)
         if token is None:
             raise ValueError(f"spec {spec!r} does not name a product model")
-        action = _action(token, args.n, inputs)
+        action = _action(token, args.n, inputs, (read or {}).get(token))
         if initial is None:
             initial = tasks.initial_model(args.n, inputs)
         products.append(tasks.apply_action(initial, action))
@@ -148,66 +154,32 @@ def _emit(pieces: list[str], out: str | None) -> None:
             handle.writelines(pieces)
 
 
-def _dump(doc) -> list[str]:
-    """The text of `json.dumps(doc, indent=2) + "\n"`, byte for byte, as pieces.
-
-    Scalars and keys go through the C encoder; dict keys must be strings
-    (others raise TypeError). A container met again at a depth where it was
-    written before reuses that text, so entries the facets share are encoded
-    once per depth. `id` keys are stable because `doc` lives through the call.
-    """
-    pieces: list[str] = []
-    # (id, depth) -> the span of `pieces` it first wrote, or its joined text.
-    written: dict[tuple[int, int], tuple[int, int] | str] = {}
-
-    def write(obj, depth: int) -> None:
-        is_dict = isinstance(obj, dict)
-        if not (is_dict or isinstance(obj, (list, tuple))):
-            pieces.append(json.dumps(obj))
-            return
-        if not obj:
-            pieces.append("{}" if is_dict else "[]")
-            return
-        key = (id(obj), depth)
-        seen = written.get(key)
-        if seen is not None:
-            if not isinstance(seen, str):
-                seen = written[key] = "".join(pieces[seen[0]:seen[1]])
-            pieces.append(seen)
-            return
-        start = len(pieces)
-        indent = "  " * depth
-        sep = ",\n  " + indent
-        lead = ("{" if is_dict else "[") + sep[1:]
-        if is_dict:
-            for name, value in obj.items():
-                if not isinstance(name, str):
-                    raise TypeError(f"keys must be str, not {type(name).__name__}")
-                pieces.append(f"{lead}{json.dumps(name)}: ")
-                lead = sep
-                write(value, depth + 1)
-            pieces.append(f"\n{indent}}}")
-        else:
-            for value in obj:
-                pieces.append(lead)
-                lead = sep
-                write(value, depth + 1)
-            pieces.append(f"\n{indent}]")
-        written[key] = (start, len(pieces))
-
-    write(doc, 0)
-    pieces.append("\n")
-    return pieces
-
-
 def _write_built(built, fmt: str, out: str | None) -> None:
     """Write a model or an action model as json, dot or text; a text line per
     facet carries the facet's input atoms or its precondition."""
     c = built.complex
     is_model = isinstance(built, models.SimplicialModel)
     if fmt == "json":
-        doc = models.model_to_json(built) if is_model else tasks.action_to_json(built)
-        _emit(_dump(doc), out)
+        # `json.dumps(doc, indent=2)` of the document, written from the rows:
+        # each distinct input vector or precondition is rendered once and
+        # each facet's atoms or precondition is one piece.
+        pieces = complex_to_json(c)
+        if is_model:
+            atoms = {
+                vec: indented_json([[a, v] for a, v in enumerate(vec)], "    ")
+                for vec in set(built.inputs)
+            }
+            pieces.append(',\n  "atoms": [\n    ')
+            for vec in built.inputs:
+                pieces += (atoms[vec], ",\n    ")
+            pieces[-1] = "\n  ]\n}\n"
+        else:
+            texts = {phi: json.dumps(render(phi)) for phi in set(built.pre)}
+            pieces.append(f',\n  "name": {json.dumps(built.name)},\n  "pre": {{\n    ')
+            for i, phi in enumerate(built.pre):
+                pieces += (f'"{i}": {texts[phi]}', ",\n    ")
+            pieces[-1] = "\n  }\n}\n"
+        _emit(pieces, out)
     elif fmt == "dot":
         _emit([models.complex_to_dot(c)], out)
     else:
@@ -250,7 +222,7 @@ def cmd_check(args) -> int:
             "valid": not failing,
             "counterexample": failing[0] if failing else None,
         }
-        _emit(_dump(doc), args.out)
+        _emit([json.dumps(doc, indent=2) + "\n"], args.out)
     elif failing:
         _emit([f"counterexample: {model.complex.facet(failing[0]).text()}\n"], args.out)
     else:
@@ -260,20 +232,22 @@ def cmd_check(args) -> int:
 
 def cmd_obstruct(args) -> int:
     k = _bound(args.gen, "waitfree", "generator waitfree needs a bound: waitfree:K")
+    read = {}
     if args.gen == "bc":
         phi = generators.binary_consensus_obstruction(args.n)
     elif k is not None:
         phi = generators.waitfree_kset_obstruction(args.n, k)
     elif args.gen == "adversary":
-        phi = generators.adversary_obstruction(args.n, _adversary(args.protocol, args.n))
+        adv = read[_token(args.protocol)] = _adversary(args.protocol, args.n)
+        phi = generators.adversary_obstruction(args.n, adv)
     else:
         raise ValueError(f"unknown generator {args.gen!r}")
 
-    task, protocol = _products(args, args.task, args.protocol)
+    task, protocol = _products(args, args.task, args.protocol, read=read)
     report = generators.verify_obstruction(task, protocol, phi)
     doc = generators.report_to_json(report)
     if args.format == "json":
-        _emit(_dump(doc), args.out)
+        _emit([json.dumps(doc, indent=2) + "\n"], args.out)
     else:
         lines = [
             f"formula: {doc['formula']}",
@@ -314,7 +288,7 @@ def cmd_solve(args) -> int:
                     "seed": args.seed,
                 },
             }
-            _emit(_dump(doc), args.out)
+            _emit([json.dumps(doc, indent=2) + "\n"], args.out)
         return 0
     if result.status is solver.Solvability.UNSOLVABLE:
         return 1
@@ -409,6 +383,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nests too deeply", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory: the model is too large", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -313,15 +313,39 @@ def _product_facets(
     return keys, vertices
 
 
-def complex_to_json(c: ChromaticComplex) -> dict:
-    """The complex as a JSON document with one `{"color", "obs"}` entry per
-    distinct vertex. The facets holding a vertex share its entry object, so
-    callers must not mutate an entry in place."""
-    entries = [{"color": v.color, "obs": obs_to_json(v.obs)} for v in c.vertices()]
-    return {
-        "n": c.n,
-        "facets": [{"vertices": list(map(entries.__getitem__, row))} for row in c.rows],
-    }
+def indented_json(value, pad: str = "") -> str:
+    """`json.dumps(value, indent=2)` of an int or nested lists of ints, with
+    every line after the first indented by `pad` more."""
+    if type(value) is not list:
+        return str(value)
+    if not value:
+        return "[]"
+    inner = pad + "  "
+    items = (",\n" + inner).join([indented_json(x, inner) for x in value])
+    return f"[\n{inner}{items}\n{pad}]"
+
+
+def complex_to_json(c: ChromaticComplex) -> list[str]:
+    """The text `json.dumps(doc, indent=2)` writes for a document that opens
+    with `"n"` and `"facets"`, in pieces, from its start through the end of
+    the facets' list; the caller writes any further members and the closing
+    brace. Each facet is `{"vertices": [entry, ...]}`, one `{"color", "obs"}`
+    entry per vertex.
+
+    Each distinct vertex's entry is rendered once, and each facet is one
+    piece, the join of its row's entries."""
+    pad = " " * 8  # a vertex entry's depth: document, facets, facet, vertices
+    entries = [
+        f'{{\n{pad}  "color": {v.color},\n'
+        f'{pad}  "obs": {indented_json(obs_to_json(v.obs), pad + "  ")}\n{pad}}}'
+        for v in c.vertices()
+    ]
+    between = '\n      ]\n    },\n    {\n      "vertices": [\n        '
+    pieces = [f'{{\n  "n": {c.n},\n  "facets": [\n    {{\n      "vertices": [\n        ']
+    for row in c.rows:
+        pieces += (",\n        ".join(map(entries.__getitem__, row)), between)
+    pieces[-1] = "\n      ]\n    }\n  ]"
+    return pieces
 
 
 # Decoders find a document's distinct JSON values by their `marshal` bytes at

@@ -21,7 +21,6 @@ from .complexes import (
     Facet,
     Vertex,
     complex_from_json,
-    complex_to_json,
     facet_texts,
 )
 from .formulas import Formula
@@ -315,15 +314,6 @@ def morphism_violation(
 ) -> str | None:
     """First reason `delta` fails to be a label-preserving simplicial map."""
     return _morphism_images(delta, source, target)[0]
-
-
-def model_to_json(model: SimplicialModel) -> dict:
-    """`complex_to_json` plus each facet's atoms, as `[agent, value]` pairs in
-    agent order; facets with the same input vector share one list."""
-    doc = complex_to_json(model.complex)
-    lists = {vector: list(enumerate(vector)) for vector in set(model.inputs)}
-    doc["atoms"] = list(map(lists.__getitem__, model.inputs))
-    return doc
 
 
 def is_action_document(data) -> bool:

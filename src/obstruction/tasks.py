@@ -23,14 +23,13 @@ from .complexes import (
     ChromaticComplex,
     Facet,
     Vertex,
-    complex_to_json,
     complex_from_json,
     _collector_paused,
     _key_order,
     _json_field,
     _product_facets,
 )
-from .formulas import Formula, and_, atom, or_, parse, render
+from .formulas import Formula, and_, atom, or_, parse
 from .models import SimplicialModel, induce_model
 
 
@@ -220,14 +219,7 @@ def apply_action(model: SimplicialModel, action: ActionModel) -> SimplicialModel
     return induce_model(ChromaticComplex(model.complex.n, rows, vertices), "left")
 
 
-# -- serialization -----------------------------------------------------------
-
-
-def action_to_json(action: ActionModel) -> dict:
-    doc = complex_to_json(action.complex)
-    doc["name"] = action.name
-    doc["pre"] = {str(i): render(phi) for i, phi in enumerate(action.pre)}
-    return doc
+# -- decoding ----------------------------------------------------------------
 
 
 def action_from_json(data: dict) -> ActionModel:

@@ -1,14 +1,16 @@
 """Shared test utilities: facet locators and point-form facet operations
 (shared colors, per-pair product facets, projections, input, view and
 decision values, least views), the canonical complex of loose facets, the
-memo-free complex decoder, an independent naive evaluator, common
-knowledge reach by search over vertex stars, the per-pair product update,
-the view-action reference over checked `Facet`s, point-form morphism and
-knowledge checks, the pairwise DOT export, the plain backtracking
-reference for the decision-map search, ordered set partitions, and direct
-constructions of what the package derives from general code (round view
-vectors by product-then-filter, immediate snapshot vectors from ordered set
-partitions, the inductive wait-free k-agreement obstruction)."""
+memo-free complex decoder, the complex, model and action documents as
+dicts (the byte reference for the JSON writer), an independent naive
+evaluator, common knowledge reach by search over vertex stars, the
+per-pair product update, the view-action reference over checked `Facet`s,
+point-form morphism and knowledge checks, the pairwise DOT export, the
+plain backtracking reference for the decision-map search, ordered set
+partitions, and direct constructions of what the package derives from
+general code (round view vectors by product-then-filter, immediate
+snapshot vectors from ordered set partitions, the inductive wait-free
+k-agreement obstruction)."""
 
 from itertools import combinations, product as iter_product
 
@@ -22,8 +24,9 @@ from obstruction.complexes import (
     facet_texts,
     obs_from_json,
     obs_key,
+    obs_to_json,
 )
-from obstruction.formulas import Formula, atom, distributed, know, not_, or_
+from obstruction.formulas import Formula, atom, distributed, know, not_, or_, render
 from obstruction.models import SimplicialModel, induce_model
 from obstruction.tasks import ActionModel, initial_complex, pin_formula
 
@@ -139,6 +142,35 @@ def naive_complex_from_json(data) -> tuple[ChromaticComplex, list[int]]:
     ]
     c = canonical_complex(n, facets)
     return c, [c.index(f) for f in facets]
+
+
+def complex_to_json(c: ChromaticComplex) -> dict:
+    """The complex as a JSON document with one `{"color", "obs"}` entry per
+    distinct vertex; the facets holding a vertex share its entry object.
+    `json.dumps(doc, indent=2)` of it is the byte reference for the
+    package's writer, `complexes.complex_to_json`."""
+    entries = [{"color": v.color, "obs": obs_to_json(v.obs)} for v in c.vertices()]
+    return {
+        "n": c.n,
+        "facets": [{"vertices": list(map(entries.__getitem__, row))} for row in c.rows],
+    }
+
+
+def model_to_json(model: SimplicialModel) -> dict:
+    """`complex_to_json` plus each facet's atoms, as `[agent, value]` pairs in
+    agent order: the document `export --format json` writes for a model."""
+    doc = complex_to_json(model.complex)
+    doc["atoms"] = [list(enumerate(vector)) for vector in model.inputs]
+    return doc
+
+
+def action_to_json(action: ActionModel) -> dict:
+    """`complex_to_json` plus the action's name and each facet's rendered
+    precondition keyed by its id: the document written for an action."""
+    doc = complex_to_json(action.complex)
+    doc["name"] = action.name
+    doc["pre"] = {str(i): render(phi) for i, phi in enumerate(action.pre)}
+    return doc
 
 
 def naive_satisfies(model: SimplicialModel, facet: Facet, phi) -> bool:

@@ -5,19 +5,30 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, strategies as st
 
-from obstruction import cli
+from obstruction import adversaries, tasks
+from obstruction.adversaries import waitfree
 from obstruction.cli import main
 from obstruction.complexes import Vertex
-from obstruction.models import model_to_json
+from obstruction.formulas import parse, render
+from obstruction.generators import (
+    adversary_obstruction,
+    binary_consensus_obstruction,
+    report_to_json,
+    verify_obstruction,
+)
+from obstruction.models import model_from_json
 from obstruction.tasks import (
-    action_to_json,
     apply_action,
+    binary_consensus_action,
+    decide_own_input_action,
     immediate_snapshot_action,
     initial_model,
+    round_operator_action,
     set_agreement_action,
 )
 
 from conftest import build_demo_model
+from helpers import action_to_json, model_to_json
 
 
 def run(capsys, *argv):
@@ -298,6 +309,33 @@ def test_both_products_share_one_initial_model(capsys, monkeypatch, argv, code):
     monkeypatch.setattr("obstruction.tasks.initial_model", counted)
     exit_code, _, err = run(capsys, *argv)
     assert (exit_code, err, len(calls)) == (code, "", 1)
+
+
+def test_obstruct_reads_the_adversary_file_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "adv.json"
+    path.write_text(json.dumps({"n": 2, "survivor_sets": [[0, 1], [1, 2], [0, 2]]}))
+    decode = adversaries.adversary_from_json
+    calls = []
+    monkeypatch.setattr(adversaries, "adversary_from_json", lambda data: calls.append(data) or decode(data))
+    code, out, err = run(capsys, "obstruct", "I[sa:2]", f"round:{path}", "--gen", "adversary", "--n", "2")
+    adv = decode(json.loads(path.read_text()))
+    task = _product(2, range(3), set_agreement_action(2, 2, range(3)))
+    protocol = _product(2, range(3), round_operator_action(2, adv, range(3)))
+    report = verify_obstruction(task, protocol, adversary_obstruction(2, adv))
+    assert (code, err, len(calls)) == (0 if report.is_obstruction else 1, "", 1)
+    assert out == json_dumps_text(report_to_json(report))
+
+
+def test_out_of_memory_is_a_resource_limit(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(tasks, "apply_action", exhausted)
+    code, out, err = run(capsys, "build", "I[is]", "--n", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert gc.isenabled()
 
 
 @pytest.mark.parametrize("argv", [
@@ -745,69 +783,125 @@ def json_dumps_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-@pytest.mark.parametrize(
-    "argv,out_name",
-    [
-        (["build", "I[is]", "--n", "1"], None),
-        (["build", "I[is]", "--n", "2", "--out", "{d}/is2.json"], "is2.json"),
-        (["build", "I[round:waitfree]", "--n", "2"], None),
-        (["build", "is", "--n", "2"], None),
-        (["build", "sa:1", "--n", "2", "--out", "{d}/sa1.json"], "sa1.json"),
-        (["build", "round:waitfree", "--n", "2"], None),
-        (["obstruct", "I[bc]", "I[is]", "--gen", "bc", "--n", "2"], None),
-        (["check", "{d}/model.json", "--format", "json", "--formula", "K[0] input(0,0)"], None),
-        (["solve", "I[is]", "I[sa-trivial]", "--n", "2", "--out", "{d}/witness.json"], "witness.json"),
-    ],
-    ids=[
-        "model-is1", "model-is2", "model-waitfree2", "action-is", "action-sa1",
-        "action-waitfree", "obstruction-report", "check-json", "solve-witness",
-    ],
-)
-def test_writer_matches_json_dumps_on_cli_documents(tmp_path, capsys, monkeypatch, argv, out_name):
+def _product(n, inputs, action):
+    return apply_action(initial_model(n, inputs), action)
+
+
+def _obstruction_report(tmp_path):
+    task = _product(2, (0, 1), binary_consensus_action(2))
+    protocol = _product(2, (0, 1), immediate_snapshot_action(2, (0, 1)))
+    phi = binary_consensus_obstruction(2)
+    return report_to_json(verify_obstruction(task, protocol, phi))
+
+
+def _check_result(tmp_path):
+    model = model_from_json(json.loads((tmp_path / "model.json").read_text()))
+    phi = parse("K[0] input(0,0)")
+    [cex] = model.counterexamples(phi, 1) or [None]
+    index = None if cex is None else model.complex.index(cex)
+    return {"formula": render(phi), "valid": cex is None, "counterexample": index}
+
+
+def _witness(tmp_path):
+    # The map is the search's own; the document must be json.dumps' text of it.
+    doc = json.loads((tmp_path / "witness.json").read_text())
+    assert doc["transcript"]["morphism"] is True
+    return doc
+
+
+# Each case: the command, the file it writes (None: stdout), and the
+# reference document, as the test helpers build it from the library.
+_WRITTEN = {
+    "model-is1": (
+        ["build", "I[is]", "--n", "1"], None,
+        lambda d: model_to_json(_product(1, (0, 1), immediate_snapshot_action(1, (0, 1)))),
+    ),
+    "model-is2": (
+        ["build", "I[is]", "--n", "2", "--out", "{d}/is2.json"], "is2.json",
+        lambda d: model_to_json(_product(2, (0, 1), immediate_snapshot_action(2, (0, 1)))),
+    ),
+    "model-waitfree2": (
+        ["build", "I[round:waitfree]", "--n", "2"], None,
+        lambda d: model_to_json(_product(2, range(3), round_operator_action(2, waitfree(2), range(3)))),
+    ),
+    "model-initial": (
+        ["build", "initial", "--n", "2"], None,
+        lambda d: model_to_json(initial_model(2, (0, 1))),
+    ),
+    "model-n0": (
+        ["build", "I[is]", "--n", "0"], None,
+        lambda d: model_to_json(_product(0, (0, 1), immediate_snapshot_action(0, (0, 1)))),
+    ),
+    "model-negative": (
+        ["build", "I[bc]", "--n", "1", "--inputs=-1,0"], None,
+        lambda d: model_to_json(_product(1, (-1, 0), binary_consensus_action(1))),
+    ),
+    "model-sa-trivial": (
+        ["build", "I[sa-trivial]", "--n", "1"], None,
+        lambda d: model_to_json(_product(1, range(2), decide_own_input_action(1, range(2)))),
+    ),
+    "action-is": (
+        ["build", "is", "--n", "2"], None,
+        lambda d: action_to_json(immediate_snapshot_action(2, (0, 1))),
+    ),
+    "action-sa1": (
+        ["build", "sa:1", "--n", "2", "--out", "{d}/sa1.json"], "sa1.json",
+        lambda d: action_to_json(set_agreement_action(2, 1, range(3))),
+    ),
+    "action-waitfree": (
+        ["build", "round:waitfree", "--n", "2"], None,
+        lambda d: action_to_json(round_operator_action(2, waitfree(2), range(3))),
+    ),
+    "action-n0": (
+        ["build", "sa:1", "--n", "0"], None,
+        lambda d: action_to_json(set_agreement_action(0, 1, range(1))),
+    ),
+    "action-negative": (
+        ["build", "sa:1", "--n", "1", "--inputs=-1,0"], None,
+        lambda d: action_to_json(set_agreement_action(1, 1, (-1, 0))),
+    ),
+    "action-sa-trivial": (
+        ["build", "sa-trivial", "--n", "2"], None,
+        lambda d: action_to_json(decide_own_input_action(2, range(3))),
+    ),
+    "export-model": (
+        ["export", "{d}/model.json"], None,
+        lambda d: model_to_json(build_demo_model()),
+    ),
+    "obstruction-report": (
+        ["obstruct", "I[bc]", "I[is]", "--gen", "bc", "--n", "2"], None, _obstruction_report,
+    ),
+    "check-json": (
+        ["check", "{d}/model.json", "--format", "json", "--formula", "K[0] input(0,0)"], None,
+        _check_result,
+    ),
+    "solve-witness": (
+        ["solve", "I[is]", "I[sa-trivial]", "--n", "2", "--out", "{d}/witness.json"],
+        "witness.json", _witness,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRITTEN))
+def test_writer_matches_json_dumps_on_cli_documents(tmp_path, capsys, case):
+    argv, out_name, reference = _WRITTEN[case]
     write_demo_model(tmp_path / "model.json")
-    docs = []
-    dump = cli._dump
-    monkeypatch.setattr(cli, "_dump", lambda doc: docs.append(doc) or dump(doc))
-    code, stdout, _ = run(capsys, *[arg.replace("{d}", str(tmp_path)) for arg in argv])
-    assert code in (0, 1)
-    [doc] = docs
+    code, stdout, err = run(capsys, *[arg.replace("{d}", str(tmp_path)) for arg in argv])
+    assert code in (0, 1) and err == ""
     written = (tmp_path / out_name).read_text() if out_name else stdout
-    assert written == "".join(dump(doc)) == json_dumps_text(doc)
+    assert written == json_dumps_text(reference(tmp_path))
 
 
-scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-json_values = st.recursive(
-    scalars,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=12,
-)
-containers = st.recursive(
-    st.lists(scalars, max_size=3),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=8,
-)
+names = st.text(alphabet=st.characters(), max_size=12)
 
 
-@given(doc=json_values, shared=containers)
-@example(doc='quote " backslash \\ newline \n tab \t héllo → \U0001F600', shared={"é": ["\"", "\n"]})
-@example(doc=[1, -2.5, 1e300, float("inf"), True, False, None, {}, [], ()], shared=[{}, []])
-def test_writer_matches_json_dumps(doc, shared):
-    # `shared` is one object met at two depths and twice at the same depth.
-    wrapped = {
-        "doc": doc,
-        "shared": shared,
-        "nested": [shared, {"again": shared}, (shared,)],
-        "empty": [{}, [], ()],
-    }
-    for value in (doc, wrapped):
-        assert "".join(cli._dump(value)) == json_dumps_text(value)
-
-
-@pytest.mark.parametrize("doc", [{1: "a"}, {"a": [{None: 0}]}, {"a": {(1, 2): 0}}])
-def test_writer_rejects_non_string_keys(doc):
-    # json.dumps would write 1 and None as the strings "1" and "null"; the
-    # CLI's documents only have string keys, so the writer refuses others.
-    with pytest.raises(TypeError, match="keys must be str"):
-        cli._dump(doc)
+@given(name=names)
+@example(name='quote " backslash \\ newline \n tab \t héllo → \U0001F600')
+@example(name="")
+def test_exported_action_name_matches_json_dumps(tmp_path_factory, name):
+    doc = _action_doc(name=name)
+    path = tmp_path_factory.mktemp("action") / "action.json"
+    path.write_text(json.dumps(doc))
+    out = path.with_name("again.json")
+    assert main(["export", str(path), "--format", "json", "--out", str(out)]) == 0
+    assert out.read_text() == json_dumps_text(doc)

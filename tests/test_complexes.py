@@ -1,13 +1,15 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obstruction import complexes
 from obstruction.complexes import (
     ChromaticComplex,
     Facet,
     Vertex,
     _key_order,
     complex_from_json,
-    complex_to_json,
     obs_from_json,
     obs_key,
     obs_text,
@@ -27,6 +29,7 @@ from helpers import (
     assert_checked_facets,
     canonical_complex,
     cartesian_product,
+    complex_to_json,
     facet_with_values,
     product_facet,
     project_left,
@@ -160,6 +163,22 @@ def test_complex_json_round_trip(demo_model):
     assert again == demo_model.complex
     assert complex_to_json(again) == doc
     assert_checked_facets(again)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ChromaticComplex(0, [(0,)], [Vertex(0, frozenset())]),  # an empty view
+        lambda: initial_complex(1, (-1, 0)),
+        lambda: apply_action(initial_model(2, (0, 1)), immediate_snapshot_action(2, (0, 1))).complex,
+    ],
+    ids=["empty-view", "negative-inputs", "is-product"],
+)
+def test_complex_text_matches_json_dumps(build):
+    # The package writes a document's opening; its caller closes it.
+    c = build()
+    text = "".join(complexes.complex_to_json(c)) + "\n}\n"
+    assert text == json.dumps(complex_to_json(c), indent=2) + "\n"
 
 
 def test_decoder_makes_one_vertex_per_distinct_vertex():

@@ -26,7 +26,6 @@ from obstruction.models import (
     complex_to_dot,
     induce_model,
     model_from_json,
-    model_to_json,
     morphism_violation,
 )
 from obstruction.solver import random_positive_formula
@@ -46,6 +45,7 @@ from helpers import (
     common_reach,
     facet_with_values,
     map_facet,
+    model_to_json,
     naive_complex_from_json,
     naive_satisfies,
     pairwise_dot,

@@ -9,7 +9,6 @@ from obstruction.complexes import (
     Facet,
     Vertex,
     complex_from_json,
-    complex_to_json,
 )
 from obstruction.formulas import FALSE, ParseError, render
 from obstruction.generators import (
@@ -21,7 +20,6 @@ from obstruction.tasks import (
     ActionModel,
     _view_action,
     action_from_json,
-    action_to_json,
     apply_action,
     binary_consensus_action,
     decide_own_input_action,
@@ -35,8 +33,10 @@ from obstruction.tasks import (
 )
 
 from helpers import (
+    action_to_json,
     assert_checked_facets,
     canonical_complex,
+    complex_to_json,
     facet_with_values,
     input_of,
     min_view,
