@@ -26,7 +26,7 @@ class Adversary:
     def contains(self, processes: Iterable[int]) -> bool:
         """True when the set of processes includes some survivor set."""
         p = frozenset(processes)
-        if not p <= frozenset(range(self.n + 1)):
+        if p and not 0 <= min(p) <= max(p) <= self.n:
             raise ValueError(f"processes {sorted(p)} outside 0..{self.n}")
         return any(s <= p for s in self.survivors)
 
@@ -47,11 +47,11 @@ def from_survivor_sets(n: int, sets: Iterable[Iterable[int]]) -> Adversary:
     collected = [frozenset(s) for s in sets]
     if not collected:
         raise ValueError("at least one survivor set required")
-    agents = frozenset(range(n + 1))
+    # Bounds, not the set of agents, so a refusal costs no more for a large n.
     for s in collected:
         if not s:
             raise ValueError("survivor sets must be nonempty")
-        if not s <= agents:
+        if not 0 <= min(s) <= max(s) <= n:
             raise ValueError(f"survivor set {sorted(s)} outside 0..{n}")
     minimal = frozenset(
         s for s in collected if not any(t < s for t in collected)

@@ -13,15 +13,18 @@ vertices' positions in color order, the rows sorted, which is `Facet.key`
 order. `ChromaticComplex` is built from exactly that, `(n, rows, vertices)`,
 and checks the rows' colors; its `Facet` tuples, `vertex_id` and `index` are
 views built on first use. Builders put their rows in order themselves.
-`_key_order` ranks numbered vertices once by `Vertex.key` and sorts the
-facets as tuples of integer ranks; its two callers are the view-action
-builder and the JSON decoder. A product complex takes both orders from its
-factors' rows instead (see `_product_facets`), and a task complex filters
-the rows of an input complex.
+`_key_order` takes one sort key per numbered vertex, ordering the vertices
+as `Vertex.key` does, ranks the vertices once and sorts the facets as tuples
+of integer ranks. The JSON decoder passes each vertex's `Vertex.key`; the
+view-action builder passes a cheaper key of plain ints that orders its
+vertices the same way. A product complex takes both orders from its factors'
+rows instead (see `_product_facets`), and a task complex filters the rows of
+an input complex.
 """
 
 import gc
 from functools import wraps
+from itertools import chain, islice
 from marshal import dumps
 from operator import add, itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -151,24 +154,32 @@ def _collector_paused(fn):
 
 
 def _key_order(
-    vertices: Sequence[Vertex], rows: Sequence[tuple[int, ...]]
-) -> tuple[list[Vertex], list[int], list[tuple[int, ...]]]:
-    """Canonical order from numbered vertices. `vertices` are distinct, in
-    any order, and each entry of `rows` lists a distinct facet's vertices in
-    color order by their positions in `vertices`. Returns the vertices in
-    `Vertex.key` order, the positions in `rows` in `Facet.key` order, and the
-    rows in that order over the sorted vertices.
+    keys: Sequence, rows: Sequence[tuple[int, ...]]
+) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
+    """Canonical order from numbered vertices. `keys[i]` is vertex i's sort
+    key, distinct and ordering the vertices as `Vertex.key` does, and each
+    entry of `rows` lists a distinct facet's vertices in color order by
+    their numbers. Returns the vertex numbers in key order, the positions in
+    `rows` in `Facet.key` order, and the rows in that order over the vertices
+    renumbered by rank.
 
-    Vertex.key is injective, so comparing facets by the ranks of their
-    vertices in Vertex.key order is the same as comparing Facet.key: the
-    vertices are ranked once and the facets sorted as tuples of ints."""
-    by_key = sorted(range(len(vertices)), key=list(map(Vertex.key, vertices)).__getitem__)
-    rank = [0] * len(vertices)
+    The keys are injective, so comparing facets by the ranks of their
+    vertices is the same as comparing `Facet.key`: the vertices are ranked
+    once and the facets sorted as tuples of ints. Rows of one width, as in
+    every complex that passes the color check, are renumbered as one flat
+    column and regrouped."""
+    by_key = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = [0] * len(keys)
     for r, i in enumerate(by_key):
         rank[i] = r
-    keys = [tuple(map(rank.__getitem__, row)) for row in rows]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return list(map(vertices.__getitem__, by_key)), order, list(map(keys.__getitem__, order))
+    column = map(rank.__getitem__, chain.from_iterable(rows))
+    widths = set(map(len, rows))
+    if len(widths) == 1:
+        ranked = list(zip(*[column] * widths.pop()))
+    else:
+        ranked = [tuple(islice(column, len(row))) for row in rows]
+    order = sorted(range(len(ranked)), key=ranked.__getitem__)
+    return by_key, order, list(map(ranked.__getitem__, order))
 
 
 class ChromaticComplex:
@@ -291,26 +302,26 @@ def _product_facets(
     A product vertex is keyed by its factors' vertex ids, `left id × width +
     right id`. Both factors number their vertices in `Vertex.key` order, and
     the color and the left observation come first in a product vertex's key,
-    so these keys order product vertices as `Vertex.key` does, and sorting
-    the facets' key tuples puts them in `Facet.key` order. Both factors' rows
-    hold the colors 0..n in order, so vertices pair by position, and each
-    product vertex is made once."""
+    so these keys order product vertices as `Vertex.key` does. Both factors'
+    rows hold the colors 0..n in order, so vertices pair by position, and
+    the keys of all pairs are collected in one flat column, n + 1 per pair,
+    each product vertex made once. The column and the rows regrouped from it
+    coexist until the function returns; the rows hold the keys' ranks, which
+    rise with the keys, so sorting them gives `Facet.key` order."""
     left, right = c.vertices(), d.vertices()
     width = len(right)
-    keys = []
+    right_row = d.rows.__getitem__
+    column: list[int] = []
     for x, ys in pairs:
         base = [u * width for u in c.rows[x]]
-        keys.extend([tuple(map(add, base, d.rows[j])) for j in ys])
-    keys.sort()
-    made = sorted(set().union(*keys))
+        column.extend(map(add, base * len(ys), chain.from_iterable(map(right_row, ys))))
+    made = sorted(set(column))
     factors = [(left[key // width], right[key % width]) for key in made]
     vertices = [Vertex(u.color, (u.obs, w.obs)) for u, w in factors]
-    # Each key is replaced by its row in place, so the two lists never
-    # coexist; positions rise with keys, so the rows stay sorted.
-    position = {key: i for i, key in enumerate(made)}.__getitem__
-    for i, key in enumerate(keys):
-        keys[i] = tuple(map(position, key))
-    return keys, vertices
+    rank = dict(zip(made, range(len(made))))
+    rows = list(zip(*[map(rank.__getitem__, column)] * (c.n + 1)))
+    rows.sort()
+    return rows, vertices
 
 
 def indented_json(value, pad: str = "") -> str:
@@ -413,8 +424,9 @@ def complex_from_json(data: dict) -> tuple[ChromaticComplex, list[int]]:
         if not row or tuple(map(colors.__getitem__, row)) != expected[:len(row)]:
             row = tuple(map(number.__getitem__, Facet(map(made.__getitem__, row))))
         listed.append(index.setdefault(row, len(index)))
-    vertices, order, rows = _key_order(made, list(index))
+    by_key, order, rows = _key_order(list(map(Vertex.key, made)), list(index))
     ids = [0] * len(order)
     for i, j in enumerate(order):
         ids[j] = i
+    vertices = list(map(made.__getitem__, by_key))
     return ChromaticComplex(n, rows, vertices), list(map(ids.__getitem__, listed))

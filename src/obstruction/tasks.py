@@ -86,29 +86,41 @@ def _view_action(n: int, vectors, inputs: Iterable[int], name: str) -> ActionMod
     facet's pin; the vectors are distinct.
 
     Agent a's vertex holds the inputs of the agents in vector[a]. The
-    distinct (agent, view) cells are numbered once, each input facet selects
-    one vertex per cell, and the distinct vertices are numbered once. A
-    vector lists one cell per agent, in agent order, so a facet is the tuple
-    of its cells' vertex numbers, and `_key_order` sorts those tuples into
-    the complex's rows. Every agent sees its own input, so no facet arises
-    from two input facets.
+    distinct (agent, view) cells are numbered once, and `by_cell` lists the
+    cells of every vector, agent by agent, as one flat list. Each input facet
+    selects one vertex per cell, numbering the distinct vertices once, and
+    adds the numbers of its action facets' vertices to one flat column; the
+    column, regrouped n + 1 at a time, is the facets' rows, which `_key_order`
+    sorts.
+    Every agent sees its own input, so no facet arises from two input facets.
+
+    A vertex is keyed by its agent and its view's (agent, input) pairs in
+    agent order. The inputs are ints, which `obs_key` keys as `(0, value)`,
+    and a view names each agent once, so these keys order the vertices as
+    `Vertex.key` does.
     """
-    cells: dict[tuple[int, frozenset[int]], int] = {}
-    by_cell = [tuple(cells.setdefault(c, len(cells)) for c in enumerate(v)) for v in vectors]
+    cells: dict[tuple[int, tuple[int, ...]], int] = {}
+    by_cell = [
+        cells.setdefault((a, tuple(sorted(seen))), len(cells))
+        for vector in vectors
+        for a, seen in enumerate(vector)
+    ]
     facets_in = initial_complex(n, inputs).facets
-    numbers: dict[tuple[int, frozenset], int] = {}
-    keys = []
+    numbers: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
+    column: list[int] = []
     for x in facets_in:
         obs = [v.obs for v in x]
         # The number of this input facet's vertex in each cell.
         picks = [
-            numbers.setdefault((a, frozenset([(b, obs[b]) for b in seen])), len(numbers))
+            numbers.setdefault((a, tuple([(b, obs[b]) for b in seen])), len(numbers))
             for a, seen in cells
         ]
-        keys.extend([tuple(map(picks.__getitem__, v)) for v in by_cell])
-    vertices, order, rows = _key_order(list(map(Vertex._make, numbers)), keys)
+        column.extend(map(picks.__getitem__, by_cell))
+    keys = list(numbers)
+    by_key, order, rows = _key_order(keys, list(zip(*[iter(column)] * (n + 1))))
+    vertices = [Vertex(a, frozenset(view)) for a, view in map(keys.__getitem__, by_key)]
     guards = [pin_formula(x) for x in facets_in]
-    width = len(by_cell)
+    width = len(vectors)
     pre = tuple([guards[i // width] for i in order])
     return ActionModel(ChromaticComplex(n, rows, vertices), pre, name)
 

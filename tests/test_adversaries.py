@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -44,6 +45,32 @@ def test_bad_inputs_rejected():
         from_survivor_sets(2, [set()])
     with pytest.raises(ValueError, match="outside"):
         from_survivor_sets(1, [{0, 5}])
+
+
+def test_huge_dimension_is_checked_briefly_in_little_memory():
+    # Survivor sets and process sets are checked against the bounds 0..n,
+    # so the cost does not grow with n.
+    n = 10**9
+    tracemalloc.start()
+    try:
+        adv = adversary_from_json({"n": n, "survivor_sets": [[0], [5, n]]})
+        with pytest.raises(ValueError) as high:
+            adversary_from_json({"n": n, "survivor_sets": [[0, n + 1]]})
+        with pytest.raises(ValueError) as low:
+            adversary_from_json({"n": n, "survivor_sets": [[-1, 0]]})
+        with pytest.raises(ValueError) as outside:
+            adv.contains({n + 1})
+        contained = adv.contains({0, n}), adv.contains({5}), adv.contains({n})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert adv.n == n
+    assert adv.survivors == frozenset({frozenset({0}), frozenset({5, n})})
+    assert str(high.value) == f"survivor set [0, {n + 1}] outside 0..{n}"
+    assert str(low.value) == f"survivor set [-1, 0] outside 0..{n}"
+    assert str(outside.value) == f"processes [{n + 1}] outside 0..{n}"
+    assert contained == (True, False, False)
+    assert peak < 5 * 2**20
 
 
 def test_contains_waitfree_everything_nonempty():

@@ -603,6 +603,21 @@ def test_export_refuses_a_huge_dimension_briefly_in_little_memory(tmp_path, caps
     assert peak < 5 * 2**20
 
 
+def test_round_refuses_an_adversary_of_a_huge_dimension_briefly_in_little_memory(tmp_path, capsys):
+    # The file's n is checked against --n without building its 0..n agents.
+    path = tmp_path / "huge-adversary.json"
+    path.write_text('{"n": 1000000000, "survivor_sets": [[0]]}')
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "build", f"round:{path}", "--n", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == f"error: adversary file {str(path)!r} is for n=1000000000, not n=1\n"
+    assert peak < 5 * 2**20
+
+
 @pytest.mark.parametrize(
     "doc,message",
     [

@@ -327,7 +327,10 @@ def test_canonical_order_is_facet_key_order(case, data):
     distinct = list(dict.fromkeys(facets))
     shuffled = data.draw(st.permutations(sorted({v for f in distinct for v in f}, key=Vertex.key)))
     number = {v: i for i, v in enumerate(shuffled)}
-    vertices, order, rows = _key_order(shuffled, [tuple(number[v] for v in f) for f in distinct])
+    by_key, order, rows = _key_order(
+        list(map(Vertex.key, shuffled)), [tuple(number[v] for v in f) for f in distinct]
+    )
+    vertices = [shuffled[i] for i in by_key]
     assert vertices == sorted(shuffled, key=Vertex.key)
     assert order == sorted(range(len(distinct)), key=lambda i: distinct[i].key())
     rank = {v: i for i, v in enumerate(vertices)}
@@ -335,6 +338,23 @@ def test_canonical_order_is_facet_key_order(case, data):
     c = ChromaticComplex(n, rows, vertices)
     assert c.facets == tuple(sorted(distinct, key=Facet.key))
     assert c.vertex_id == rank
+
+
+@settings(deadline=None)
+@given(_facet_lists(bad_colors=True), st.data())
+def test_key_order_sorts_rows_of_any_widths(case, data):
+    # Wrongly colored facets may differ in width from the rest; they are
+    # ordered all the same, so the color check names the first in key order.
+    n, facets = case
+    distinct = list(dict.fromkeys(facets))
+    shuffled = data.draw(st.permutations(sorted({v for f in distinct for v in f}, key=Vertex.key)))
+    number = {v: i for i, v in enumerate(shuffled)}
+    by_key, order, rows = _key_order(
+        list(map(Vertex.key, shuffled)), [tuple(number[v] for v in f) for f in distinct]
+    )
+    vertices = [shuffled[i] for i in by_key]
+    assert order == sorted(range(len(distinct)), key=lambda i: distinct[i].key())
+    assert [tuple(map(vertices.__getitem__, row)) for row in rows] == sorted(distinct, key=Facet.key)
 
 
 @settings(deadline=None)

@@ -311,6 +311,9 @@ PRODUCT_CASES = {
     "sa2-n2": (2, [0, 1, 2], lambda: set_agreement_action(2, 2, range(3))),
     "sa-trivial-n1": (1, [0, 1], lambda: decide_own_input_action(1, [0, 1])),
     "imported-is-n1": (1, [0, 1], _imported_is_action),
+    "is-n0": (0, [0, 1], lambda: immediate_snapshot_action(0, [0, 1])),
+    "sa1-n0": (0, [0, 1], lambda: set_agreement_action(0, 1, [0, 1])),
+    "round-n2-negative": (2, [7, -2, 0], lambda: round_operator_action(2, waitfree(2), [7, -2, 0])),
 }
 
 
@@ -328,7 +331,7 @@ def test_product_matches_per_pair_reference(name):
 VIEW_ACTION_CASES = {
     **{
         f"is-n{n}": (n, [v for v in view_vectors(n, waitfree(n)) if is_immediate(v)], [0, 1])
-        for n in (1, 2, 3)
+        for n in (0, 1, 2, 3)
     },
     "waitfree-n2": (2, view_vectors(2, waitfree(2)), range(3)),
     "waitfree-n3": (3, view_vectors(3, waitfree(3)), [0, 1]),
@@ -336,6 +339,7 @@ VIEW_ACTION_CASES = {
         2, view_vectors(2, from_survivor_sets(2, [{0, 1}, {1, 2}, {0, 2}])), range(3)
     ),
     "split-pair-n3": (3, view_vectors(3, from_survivor_sets(3, [{0, 1}, {2, 3}])), range(4)),
+    "round-n2-negative": (2, view_vectors(2, waitfree(2)), (7, -2, 0)),
 }
 
 
@@ -544,6 +548,9 @@ FACTOR_ORDER_CASES = {
     "sa2-n3": (3, range(4), lambda: set_agreement_action(3, 2, range(4))),
     "split-pair-n3": (3, range(4), lambda: round_operator_action(3, SPLIT_PAIR, range(4))),
     "bc-n2": (2, (0, 1), lambda: binary_consensus_action(2)),
+    "is-n0": (0, (0, 1), lambda: immediate_snapshot_action(0, (0, 1))),
+    "sa1-n0": (0, (0, 1), lambda: set_agreement_action(0, 1, (0, 1))),
+    "round-n2-negative": (2, (7, -2, 0), lambda: round_operator_action(2, waitfree(2), (7, -2, 0))),
 }
 
 
