@@ -53,9 +53,9 @@ def from_survivor_sets(n: int, sets: Iterable[Iterable[int]]) -> Adversary:
             raise ValueError("survivor sets must be nonempty")
         if not 0 <= min(s) <= max(s) <= n:
             raise ValueError(f"survivor set {sorted(s)} outside 0..{n}")
-    minimal = frozenset(
-        s for s in collected if not any(t < s for t in collected)
-    )
+    # Repeats dropped, the quadratic filter sees at most 2^(n+1) sets.
+    distinct = set(collected)
+    minimal = frozenset(s for s in distinct if not any(t < s for t in distinct))
     return Adversary(n, minimal)
 
 

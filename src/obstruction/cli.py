@@ -25,7 +25,7 @@ import random
 import sys
 
 from . import adversaries, generators, models, solver, tasks
-from .complexes import _collector_paused, complex_to_json, facet_texts, indented_json
+from .complexes import _collector_paused, _json_field, complex_to_json, facet_texts, indented_json
 from .formulas import ParseError, parse, render
 
 
@@ -87,14 +87,16 @@ def _adversary(spec: str, n: int) -> adversaries.Adversary:
         return adversaries.waitfree(n)
     try:
         with open(name) as handle:
-            adv = adversaries.adversary_from_json(json.load(handle))
+            doc = json.load(handle)
+        # The dimension before the sets: normalizing them costs far more.
+        found = _json_field(doc, "n", int, "adversary document")
+        if found == n:
+            return adversaries.adversary_from_json(doc)
     except OSError as exc:
         raise ValueError(f"cannot read adversary file {name!r}: {exc}")
     except ValueError as exc:
         raise ValueError(f"bad adversary file {name!r}: {exc}")
-    if adv.n != n:
-        raise ValueError(f"adversary file {name!r} is for n={adv.n}, not n={n}")
-    return adv
+    raise ValueError(f"adversary file {name!r} is for n={found}, not n={n}")
 
 
 def _bound(token: str, name: str, missing: str) -> int | None:

@@ -12,7 +12,8 @@ vertices in `Vertex.key` order and its rows: per facet, the tuple of its
 vertices' positions in color order, the rows sorted, which is `Facet.key`
 order. `ChromaticComplex` is built from exactly that, `(n, rows, vertices)`,
 and checks the rows' colors; its `Facet` tuples, `vertex_id` and `index` are
-views built on first use. Builders put their rows in order themselves.
+views built on first use, which no builder reads: builders and queries work
+on facet ids and rows. Builders put their rows in order themselves.
 `_key_order` takes one sort key per numbered vertex, ordering the vertices
 as `Vertex.key` does, ranks the vertices once and sorts the facets as tuples
 of integer ranks. The JSON decoder passes each vertex's `Vertex.key`; the
@@ -191,8 +192,9 @@ class ChromaticComplex:
     Rows are distinct and sorted, which is `Facet.key` order, so facet ids
     are stable identifiers for export and reporting. The `Facet` tuples
     (`facets`), the vertex-to-position map `vertex_id` and the facet-to-id
-    map behind `index` and `in` are views, each built on first use; `facet`
-    reads one facet without building the view.
+    map behind `index` are views, each built on first use; `facet` reads one
+    facet without building the view. Models answer point queries by facet
+    id, and nothing in the package calls `index`.
     """
 
     __slots__ = ("n", "rows", "_vertices", "_facets", "_vertex_id", "_pos")
@@ -261,13 +263,9 @@ class ChromaticComplex:
 
     def index(self, facet: Facet) -> int:
         try:
-            # Read the built map directly: point queries call this per query.
-            return (self._pos or self._positions())[facet]
+            return self._positions()[facet]
         except KeyError:
             raise KeyError(f"facet not in complex: {facet!r}") from None
-
-    def __contains__(self, facet: Facet) -> bool:
-        return facet in self._positions()
 
     def __len__(self) -> int:
         return len(self.rows)

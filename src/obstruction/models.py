@@ -81,7 +81,9 @@ class SimplicialModel:
                 f"agent ids {bad} outside this model's range 0..{self.complex.n}"
             )
 
-    def satisfies(self, facet: Facet, phi: Formula) -> bool:
+    def satisfies(self, i: int, phi: Formula) -> bool:
+        """Whether `phi` holds at facet id i, which must lie in
+        `range(len(self.complex))`: the id is not checked."""
         # Masks are only made under a root whose agents were checked, and a
         # subformula mentions no agent its root does not, so a cached mask
         # implies checked agents.
@@ -89,7 +91,7 @@ class SimplicialModel:
         if mask is None:
             self._validate_agents(phi)
             mask = self._mask(phi)
-        return bool(mask >> self.complex.index(facet) & 1)
+        return bool(mask >> i & 1)
 
     def _mask(self, phi: Formula) -> int:
         """The set of facet ids where `phi` holds."""

@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 from .adversaries import Adversary, subsets, waitfree
 from .complexes import (
     ChromaticComplex,
-    Facet,
     Vertex,
     complex_from_json,
     _collector_paused,
@@ -36,8 +35,8 @@ from .models import SimplicialModel, induce_model
 @dataclass(frozen=True)
 class ActionModel:
     """A complex of action points, each guarded by a precondition: `pre[i]`
-    guards `complex.facets[i]`. Action points with the same precondition
-    share one interned formula object."""
+    guards facet id i. Action points with the same precondition share one
+    interned formula object."""
 
     complex: ChromaticComplex
     pre: tuple[Formula, ...]
@@ -48,11 +47,6 @@ class ActionModel:
             raise ValueError(
                 f"{len(self.complex)} facets but {len(self.pre)} preconditions"
             )
-
-
-def pin_formula(facet: Facet) -> Formula:
-    """Conjunction of atoms holding exactly at this input facet."""
-    return and_(*(atom(v.color, v.obs) for v in facet))
 
 
 def initial_complex(n: int, inputs: Iterable[int]) -> ChromaticComplex:
@@ -105,11 +99,12 @@ def _view_action(n: int, vectors, inputs: Iterable[int], name: str) -> ActionMod
         for vector in vectors
         for a, seen in enumerate(vector)
     ]
-    facets_in = initial_complex(n, inputs).facets
+    initial = initial_complex(n, inputs)
+    values = [v.obs for v in initial.vertices()]
     numbers: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
     column: list[int] = []
-    for x in facets_in:
-        obs = [v.obs for v in x]
+    for row in initial.rows:
+        obs = list(map(values.__getitem__, row))
         # The number of this input facet's vertex in each cell.
         picks = [
             numbers.setdefault((a, tuple([(b, obs[b]) for b in seen])), len(numbers))
@@ -119,7 +114,9 @@ def _view_action(n: int, vectors, inputs: Iterable[int], name: str) -> ActionMod
     keys = list(numbers)
     by_key, order, rows = _key_order(keys, list(zip(*[iter(column)] * (n + 1))))
     vertices = [Vertex(a, frozenset(view)) for a, view in map(keys.__getitem__, by_key)]
-    guards = [pin_formula(x) for x in facets_in]
+    # An input facet's pin: the conjunction of its vertices' atoms.
+    atoms = [atom(v.color, v.obs) for v in initial.vertices()]
+    guards = [and_(*map(atoms.__getitem__, row)) for row in initial.rows]
     width = len(vectors)
     pre = tuple([guards[i // width] for i in order])
     return ActionModel(ChromaticComplex(n, rows, vertices), pre, name)
@@ -191,19 +188,18 @@ def set_agreement_action(n: int, k: int, values: Iterable[int]) -> ActionModel:
     full = initial_complex(n, values)
     decided = [v.obs for v in full.vertices()]
     rows = [row for row in full.rows if len(set(map(decided.__getitem__, row))) <= k]
-    chosen = ChromaticComplex(n, rows, full.vertices())
     # Each decision must be some agent's input.
-    pre = tuple(
-        and_(*(or_(*(atom(b, v.obs) for b in agents)) for v in facet))
-        for facet in chosen.facets
-    )
-    return ActionModel(chosen, pre, f"sa:{k}")
+    some_input = [or_(*(atom(b, d) for b in agents)) for d in decided]
+    pre = tuple([and_(*map(some_input.__getitem__, row)) for row in rows])
+    return ActionModel(ChromaticComplex(n, rows, full.vertices()), pre, f"sa:{k}")
 
 
 def decide_own_input_action(n: int, values: Iterable[int]) -> ActionModel:
     """The trivial task: every agent decides exactly its own input."""
     decisions = initial_complex(n, values)
-    return ActionModel(decisions, tuple(map(pin_formula, decisions.facets)), "sa-trivial")
+    atoms = [atom(v.color, v.obs) for v in decisions.vertices()]
+    pre = tuple([and_(*map(atoms.__getitem__, row)) for row in decisions.rows])
+    return ActionModel(decisions, pre, "sa-trivial")
 
 
 # -- product update ----------------------------------------------------------
@@ -219,12 +215,12 @@ def apply_action(model: SimplicialModel, action: ActionModel) -> SimplicialModel
     for j, pre in enumerate(action.pre):
         groups.setdefault(pre, []).append(j)
 
-    def admitted(x) -> list[int]:
-        """The ids of the action facets whose preconditions x satisfies."""
-        return [j for pre, ys in groups.items() if model.satisfies(x, pre) for j in ys]
+    def admitted(i: int) -> list[int]:
+        """The ids of the action facets whose preconditions facet i satisfies."""
+        return [j for pre, ys in groups.items() if model.satisfies(i, pre) for j in ys]
 
     rows, vertices = _product_facets(model.complex, action.complex, (
-        (i, ys) for i, ys in enumerate(map(admitted, model.complex.facets)) if ys
+        (i, ys) for i in range(len(model.complex)) if (ys := admitted(i))
     ))
     if not rows:
         raise ValueError("empty product update: preconditions exclude every pair")

@@ -1,4 +1,5 @@
-"""Shared test utilities: facet locators and point-form facet operations
+"""Shared test utilities: point queries at a `Facet` (`holds`) and input
+pins (`pin_formula`), facet locators and point-form facet operations
 (shared colors, per-pair product facets, projections, input, view and
 decision values, least views), the canonical complex of loose facets, the
 memo-free complex decoder, the complex, model and action documents as
@@ -26,9 +27,21 @@ from obstruction.complexes import (
     obs_key,
     obs_to_json,
 )
-from obstruction.formulas import Formula, atom, distributed, know, not_, or_, render
+from obstruction.formulas import Formula, and_, atom, distributed, know, not_, or_, render
 from obstruction.models import SimplicialModel, induce_model
-from obstruction.tasks import ActionModel, initial_complex, pin_formula
+from obstruction.tasks import ActionModel, initial_complex
+
+
+def holds(model: SimplicialModel, facet: Facet, phi: Formula) -> bool:
+    """Whether `phi` holds at `facet`, a facet of the model's complex: the
+    package's evaluator, asked at the facet's id."""
+    return model.satisfies(model.complex.index(facet), phi)
+
+
+def pin_formula(facet: Facet) -> Formula:
+    """Conjunction of the atoms holding exactly at this input facet: the
+    reference for the view actions' and the trivial task's preconditions."""
+    return and_(*(atom(v.color, v.obs) for v in facet))
 
 
 def shared_colors(x: Facet, y: Facet) -> frozenset[int]:

@@ -37,6 +37,7 @@ from conftest import build_demo_model
 from helpers import (
     common_reach,
     facet_with_values,
+    holds,
     input_of,
     map_facet,
     ordered_set_partitions,
@@ -77,11 +78,11 @@ def test_criterion_1_demo_model_regressions():
         x5 = facet_with_values(model, (1, 2, 2))
         someone_one = or_(*(atom(a, 1) for a in range(3)))
         someone_two = or_(*(atom(a, 2) for a in range(3)))
-        assert model.satisfies(x1, know(0, someone_one))
-        assert not model.satisfies(x5, know(2, someone_one))
-        assert model.satisfies(x3, distributed({0, 1}, atom(1, 3)))
-        assert not model.satisfies(x3, distributed({0, 2}, atom(1, 3)))
-        assert model.satisfies(x5, common({0, 1, 2}, someone_two))
+        assert holds(model, x1, know(0, someone_one))
+        assert not holds(model, x5, know(2, someone_one))
+        assert holds(model, x3, distributed({0, 1}, atom(1, 3)))
+        assert not holds(model, x3, distributed({0, 2}, atom(1, 3)))
+        assert holds(model, x5, common({0, 1, 2}, someone_two))
     _passed(1, "five satisfaction assertions on the demo model", clock)
 
 
@@ -100,7 +101,7 @@ def test_criterion_2_consensus_impossibility_reproduction():
             first_block_solo = [{0}] + [everyone] * n
             last_block_solo = [everyone] + [everyone - {0}] * n
             x1 = protocol_facet(snapshot, (0,) * (n + 1), first_block_solo)
-            assert not snapshot.satisfies(x1, phi)
+            assert not holds(snapshot, x1, phi)
 
             # The four-step chain from all-zero to all-one inputs.
             mixed = (0,) + (1,) * n
@@ -224,7 +225,7 @@ def test_criterion_6_morphism_search_cross_check():
         assert all(v.color == w.color for v, w in witness.items())
         for facet in snapshot.complex.facets:
             image = map_facet(witness, facet)
-            assert image in trivial.complex
+            assert image in trivial.complex.facets
             label = snapshot.inputs[snapshot.complex.index(facet)]
             assert trivial.inputs[trivial.complex.index(image)] == label
             assert project_left(image) == project_left(facet)

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -45,6 +46,15 @@ def test_bad_inputs_rejected():
         from_survivor_sets(2, [set()])
     with pytest.raises(ValueError, match="outside"):
         from_survivor_sets(1, [{0, 5}])
+
+
+def test_repeated_survivor_sets_are_normalized_briefly():
+    # Repeats are dropped before the minimality filter, which is quadratic
+    # in the sets it sees.
+    start = time.process_time()
+    adv = adversary_from_json({"n": 3, "survivor_sets": [[0, 1]] * 10_000})
+    assert time.process_time() - start < 0.5
+    assert adv == from_survivor_sets(3, [[0, 1]])
 
 
 def test_huge_dimension_is_checked_briefly_in_little_memory():

@@ -618,6 +618,21 @@ def test_round_refuses_an_adversary_of_a_huge_dimension_briefly_in_little_memory
     assert peak < 5 * 2**20
 
 
+def test_adversary_file_of_another_dimension_is_refused_before_its_sets(
+    tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "adv.json"
+    path.write_text(json.dumps({"n": 3, "survivor_sets": [[0, 1]] * 4000}))
+
+    def normalize(*args):
+        raise AssertionError("the sets were normalized before the dimension was checked")
+
+    monkeypatch.setattr(adversaries, "from_survivor_sets", normalize)
+    code, out, err = run(capsys, "build", f"round:{path}", "--n", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: adversary file {str(path)!r} is for n=3, not n=1\n"
+
+
 @pytest.mark.parametrize(
     "doc,message",
     [

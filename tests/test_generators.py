@@ -25,6 +25,7 @@ from obstruction.tasks import (
 )
 
 from helpers import (
+    holds,
     inductive_waitfree_obstruction,
     input_of,
     min_view,
@@ -107,7 +108,7 @@ def test_consensus_obstruction_verdicts_n2():
     verdict = protocol.validity(phi)
     assert not verdict.is_valid
     solo_zero = protocol_facet(protocol, (0, 0, 0), [{0}, {0, 1, 2}, {0, 1, 2}])
-    assert not protocol.satisfies(solo_zero, phi)
+    assert not holds(protocol, solo_zero, phi)
 
 
 @pytest.mark.parametrize("cap", [0, -3])
@@ -219,7 +220,7 @@ def test_generated_formulas_agree_with_naive_evaluation():
     phi = adversary_obstruction(1, waitfree(1))
     for model in (agreement, rounds):
         for facet in model.complex.facets:
-            assert model.satisfies(facet, phi) == naive_satisfies(model, facet, phi)
+            assert holds(model, facet, phi) == naive_satisfies(model, facet, phi)
 
 
 def test_waitfree_obstruction_is_the_inductive_formula():
@@ -240,9 +241,7 @@ def test_generalized_waitfree_matches_inductive_formula_semantically():
     ]
     for model in models:
         for facet in model.complex.facets:
-            assert model.satisfies(facet, generalized) == model.satisfies(
-                facet, inductive
-            )
+            assert holds(model, facet, generalized) == holds(model, facet, inductive)
 
 
 def test_agreement_outputs_admit_small_fixed_subset():
@@ -267,7 +266,7 @@ def test_flat_minimum_view_facets_falsify_their_case():
             if not all(seen_agents(f, a) == least for a in least):
                 continue
             case = cases[frozenset(range(3)) - least]
-            assert not model.satisfies(f, case)
+            assert not holds(model, f, case)
             checked += 1
         assert checked > 0
 
@@ -287,7 +286,7 @@ def test_known_value_follows_agreed_output():
                     claim = know(
                         a, or_(*(atom(b, j) for j in sorted(group) for b in agents))
                     )
-                    assert model.satisfies(f, claim)
+                    assert holds(model, f, claim)
 
 
 # -- obstruction verdicts -----------------------------------------------------------

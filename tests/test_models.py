@@ -35,7 +35,6 @@ from obstruction.tasks import (
     immediate_snapshot_action,
     initial_complex,
     initial_model,
-    pin_formula,
     round_operator_action,
 )
 
@@ -44,11 +43,13 @@ from helpers import (
     canonical_complex,
     common_reach,
     facet_with_values,
+    holds,
     map_facet,
     model_to_json,
     naive_complex_from_json,
     naive_satisfies,
     pairwise_dot,
+    pin_formula,
     project_left,
     shared_colors,
 )
@@ -77,24 +78,24 @@ def test_product_labels_use_left_half():
 def test_knowledge_at_demo_facets(demo_model):
     x1 = facet_with_values(demo_model, (2, 1, 0))
     x5 = facet_with_values(demo_model, (1, 2, 2))
-    assert demo_model.satisfies(x1, know(0, someone_has(1)))
-    assert not demo_model.satisfies(x5, know(2, someone_has(1)))
+    assert holds(demo_model, x1, know(0, someone_has(1)))
+    assert not holds(demo_model, x5, know(2, someone_has(1)))
 
 
 def test_distributed_at_demo_facets(demo_model):
     x3 = facet_with_values(demo_model, (0, 3, 2))
-    assert demo_model.satisfies(x3, distributed({0, 1}, atom(1, 3)))
-    assert not demo_model.satisfies(x3, distributed({0, 2}, atom(1, 3)))
+    assert holds(demo_model, x3, distributed({0, 1}, atom(1, 3)))
+    assert not holds(demo_model, x3, distributed({0, 2}, atom(1, 3)))
 
 
 def test_common_knowledge_at_demo_facet(demo_model):
     x5 = facet_with_values(demo_model, (1, 2, 2))
-    assert demo_model.satisfies(x5, common({0, 1, 2}, someone_has(2)))
+    assert holds(demo_model, x5, common({0, 1, 2}, someone_has(2)))
 
 
 def test_false_fails_everywhere(demo_model):
     for f in demo_model.complex.facets:
-        assert not demo_model.satisfies(f, FALSE)
+        assert not holds(demo_model, f, FALSE)
 
 
 def test_validity_of_common_knowledge(demo_model):
@@ -137,7 +138,7 @@ def distributed_block(model, facet, agents):
     input vectors, so a pin holds at one facet only)."""
     return {
         y for y in model.complex.facets
-        if not model.satisfies(facet, distributed(agents, not_(pin_formula(y))))
+        if not holds(model, facet, distributed(agents, not_(pin_formula(y))))
     }
 
 
@@ -155,7 +156,7 @@ def test_distributed_relation_empty_group_is_universal(demo_model):
 
 def test_agent_out_of_range_rejected(demo_model):
     with pytest.raises(ValueError, match="outside"):
-        demo_model.satisfies(demo_model.complex.facets[0], know(5, FALSE))
+        holds(demo_model, demo_model.complex.facets[0], know(5, FALSE))
     with pytest.raises(ValueError, match="outside"):
         demo_model.validity(atom(7, 0))
 
@@ -165,7 +166,7 @@ def test_agent_check_survives_cached_subformula_masks(demo_model):
     outside = know(5, base)
     demo_model.validity(base)
     with pytest.raises(ValueError, match="outside"):
-        demo_model.satisfies(demo_model.complex.facets[0], outside)
+        holds(demo_model, demo_model.complex.facets[0], outside)
     with pytest.raises(ValueError, match="outside"):
         demo_model.validity(outside)
     with pytest.raises(ValueError, match="outside"):
@@ -195,8 +196,8 @@ def test_singleton_distributed_equals_knowledge(demo_model):
     for a in range(3):
         for body in bodies:
             for f in demo_model.complex.facets:
-                assert demo_model.satisfies(f, know(a, body)) == demo_model.satisfies(
-                    f, distributed({a}, body)
+                assert holds(demo_model, f, know(a, body)) == holds(
+                    demo_model, f, distributed({a}, body)
                 )
 
 
@@ -245,7 +246,7 @@ def test_memoized_evaluation_matches_naive(demo_model):
             if rng.random() < 0.4:
                 phi = not_(phi) if rng.random() < 0.5 else or_(phi, FALSE)
             for facet in model.complex.facets:
-                assert model.satisfies(facet, phi) == naive_satisfies(model, facet, phi)
+                assert holds(model, facet, phi) == naive_satisfies(model, facet, phi)
 
 
 def _modal_cases(n: int) -> list:
@@ -347,7 +348,7 @@ def test_empty_common_group_is_the_formula_itself(demo_model):
     bodies = [someone_has(1), atom(0, 2), not_(know(1, someone_has(2))), FALSE]
     for body in bodies:
         for f in demo_model.complex.facets:
-            assert demo_model.satisfies(f, common((), body)) == demo_model.satisfies(f, body)
+            assert holds(demo_model, f, common((), body)) == holds(demo_model, f, body)
         assert demo_model.counterexamples(common((), body), 5) == demo_model.counterexamples(
             body, 5
         )
@@ -357,10 +358,10 @@ def test_empty_distributed_group_means_everywhere(demo_model):
     x3 = facet_with_values(demo_model, (0, 3, 2))
     assert not demo_model.validity(someone_has(1)).is_valid  # fails at x3 only
     for f in demo_model.complex.facets:
-        assert demo_model.satisfies(f, someone_has(1)) == (f != x3)
-        assert not demo_model.satisfies(f, distributed((), someone_has(1)))
-        assert demo_model.satisfies(f, distributed((), someone_has(2)))
-        assert demo_model.satisfies(f, not_(distributed((), someone_has(1))))
+        assert holds(demo_model, f, someone_has(1)) == (f != x3)
+        assert not holds(demo_model, f, distributed((), someone_has(1)))
+        assert holds(demo_model, f, distributed((), someone_has(2)))
+        assert holds(demo_model, f, not_(distributed((), someone_has(1))))
 
 
 @st.composite
@@ -398,7 +399,7 @@ def test_mask_evaluation_matches_naive_on_random_models(case):
     for phi in formulas:
         failing = [f for f in facets if not naive_satisfies(model, f, phi)]
         for f in facets:
-            assert model.satisfies(f, phi) == (f not in failing)
+            assert holds(model, f, phi) == (f not in failing)
         verdict = model.validity(phi)
         assert verdict.counterexample == (failing[0] if failing else None)
         assert model.counterexamples(phi, len(facets)) == failing
@@ -664,5 +665,5 @@ def test_dot_export_lists_facets_and_edges(demo_model):
 
 def test_formula_evaluation_agrees_with_parse(demo_model):
     x3 = facet_with_values(demo_model, (0, 3, 2))
-    assert demo_model.satisfies(x3, parse("D[{0,1}] input(1,3)"))
-    assert not demo_model.satisfies(x3, parse("D[{0,2}] input(1,3)"))
+    assert holds(demo_model, x3, parse("D[{0,1}] input(1,3)"))
+    assert not holds(demo_model, x3, parse("D[{0,2}] input(1,3)"))

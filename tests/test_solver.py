@@ -69,7 +69,7 @@ def test_trivial_task_solvable_with_verified_witness():
     assert all(v.color == image.color for v, image in witness.items())
     # Simpliciality: facets land on facets.
     for facet in protocol.complex.facets:
-        assert map_facet(witness, facet) in task.complex
+        assert map_facet(witness, facet) in task.complex.facets
     # Labeling preservation.
     for facet in protocol.complex.facets:
         image = task.complex.index(map_facet(witness, facet))

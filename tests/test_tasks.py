@@ -648,7 +648,7 @@ def test_facet_is_the_views_facet_with_or_without_the_view(name):
     assert all(c.facet(i) is f for i, f in enumerate(c.facets))
 
 
-def test_product_and_refutation_build_no_facet_views():
+def test_product_and_refutation_build_no_facet_views(monkeypatch):
     initial = initial_model(2, range(3))
     task = apply_action(initial, set_agreement_action(2, 1, range(3)))
     protocol = apply_action(initial, round_operator_action(2, waitfree(2), range(3)))
@@ -660,8 +660,28 @@ def test_product_and_refutation_build_no_facet_views():
     verdict = report.task_verdict
     assert verdict.counterexample == failing.complex.facet(47)
     assert verdict.counterexample.text() == "0:(0,1) 1:(1,0) 2:(2,0)"
-    for c in (task.complex, protocol.complex, failing.complex):
+    # The product update asks its input model by facet id.
+    for c in (initial.complex, task.complex, protocol.complex, failing.complex):
         assert c._facets is None and c._vertex_id is None and c._pos is None
+
+    # Building an action reads no view of any complex, its input complex's
+    # included: preconditions are gathered through the rows.
+    def unbuilt(self):
+        raise AssertionError("an action builder read a facet view")
+
+    monkeypatch.setattr(ChromaticComplex, "facets", property(unbuilt))
+    monkeypatch.setattr(ChromaticComplex, "vertex_id", property(unbuilt))
+    monkeypatch.setattr(ChromaticComplex, "_positions", unbuilt)
+    actions = [
+        immediate_snapshot_action(2, range(3)),
+        round_operator_action(2, waitfree(2), range(3)),
+        round_operator_action(3, SPLIT_PAIR, (0, 1)),
+        set_agreement_action(2, 1, range(3)),
+        set_agreement_action(2, 2, range(3)),
+        decide_own_input_action(2, range(3)),
+        binary_consensus_action(2),
+    ]
+    assert [a.name for a in actions] == ["is", "round", "round", "sa:1", "sa:2", "sa-trivial", "bc"]
 
 
 # -- the collector pause ---------------------------------------------------------
